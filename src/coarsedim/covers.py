@@ -132,9 +132,6 @@ class ChainGraph:
     def n_points(self) -> int:
         return len(self.neighbors)
 
-    def adjacent(self, x: int, y: int) -> bool:
-        return y in self.neighbors[x]
-
     def distances_from(self, sources: Iterable[int]) -> list[int | None]:
         """Multi-source BFS distance to the nearest source; None where unreachable."""
         dist: list[int | None] = [None] * self.n_points
@@ -297,19 +294,54 @@ def chain_diameter(points: Iterable[int], cover: Cover) -> ExtNat:
 
 
 def diameter_in_graph(points: Iterable[int], graph: ChainGraph) -> ExtNat:
+    """Largest graph distance between two points of the set: exact, INFINITY if split.
+
+    Eccentricities are taken within the set S, measured in the whole graph
+    (Takes & Kosters, CIKM 2011; iFUB, Crescenzi et al., TCS 2013).  A BFS
+    from a in S gives ecc(a) = max d(a, b) over b in S and raises the best
+    diameter to it.  By the triangle inequality every other b in S then has
+    max(ecc(a) - d, d) <= ecc(b) <= ecc(a) + d with d = d(a, b); these
+    bounds tighten lo(b) and hi(b), and b is dropped once hi(b) <= best.
+    The first source is the least id; after it, sources alternate between
+    the candidate with the largest hi and the one with the smallest lo, ties
+    to the least id, until no candidate is left.
+    If the first BFS misses a point of S, the set is split: INFINITY.
+
+    Worst case |S| BFS runs, as on a cycle, where no bound ever drops a
+    candidate.  Alternating with the smallest lo, rather than always taking
+    the largest hi, saves BFS runs on 2-D grids (58 against 80 per
+    ``roundtrip2d`` pass at seed 1) and changes nothing on lines.
+    """
     pts = sorted(set(points))
     if len(pts) < 2:
         return ExtNat(0)
+    lo = dict.fromkeys(pts, 0)
+    hi = dict.fromkeys(pts, 2 * graph.n_points)  # above every ecc + d
     best = 0
-    for a in pts:
-        dist = graph.distances_from([a])
-        for b in pts:
+    candidates = pts
+    source = pts[0]
+    pick_high = True
+    while True:
+        dist = graph.distances_from((source,))
+        row = [dist[b] for b in pts]
+        if None in row:
+            return INFINITY
+        ecc = max(row)
+        best = max(best, ecc)
+        kept = []
+        for b in candidates:
             d = dist[b]
-            if d is None:
-                return INFINITY
-            if d > best:
-                best = d
-    return ExtNat(best)
+            h = min(hi[b], ecc + d)
+            if h > best and b != source:
+                hi[b] = h
+                lo[b] = max(lo[b], ecc - d, d)
+                kept.append(b)
+        if not kept:
+            return ExtNat(best)
+        candidates = kept
+        # max and min return the first extreme item, and kept ascends by id
+        source = max(kept, key=hi.__getitem__) if pick_high else min(kept, key=lo.__getitem__)
+        pick_high = not pick_high
 
 
 @dataclass(frozen=True)

@@ -160,7 +160,10 @@ def load_pu(text: str) -> PartitionOfUnity:
         if len(tok) != 5 or tok[0] != "value":
             raise InputError(f"bad value line: {ln!r}")
         x, v, num, den = (int(t) for t in tok[1:])
-        weights.setdefault(x, {})[v] = Fraction(num, den)
+        row = weights.setdefault(x, {})
+        if v in row:
+            raise InputError(f"duplicate value line for point {x}, vertex {v}: {ln!r}")
+        row[v] = Fraction(num, den)
     values = {x: BarycentricPoint(w) for x, w in weights.items()}
     return PartitionOfUnity(values, n, vertices)
 

@@ -3,14 +3,15 @@
 These deliberately avoid the algorithms used by the library proper (multi-
 source BFS, frontier star growth) so they can serve as oracles in randomized
 comparisons: chain indices by literal endpoint enumeration or path search,
-stars by scanning every element, nerves by checking every index subset.
+stars by scanning every element, nerves by checking every index subset,
+chain diameters by a full BFS from every point.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .covers import Cover, chain_graph
+from .covers import ChainGraph, Cover, chain_graph
 from .extnat import INFINITY, ExtNat
 
 
@@ -53,6 +54,23 @@ def chain_index_by_paths(cover: Cover, x: int, region) -> ExtNat:
 
     walk(x, 0, frozenset((x,)))
     return ExtNat(best[0]) if best[0] is not None else INFINITY
+
+
+def chain_diameter_all_pairs(points, graph: ChainGraph) -> ExtNat:
+    """Chain diameter of a point set from one full BFS per point, no pruning."""
+    pts = sorted(set(points))
+    if len(pts) < 2:
+        return ExtNat(0)
+    best = 0
+    for a in pts:
+        dist = graph.distances_from([a])
+        for b in pts:
+            d = dist[b]
+            if d is None:
+                return INFINITY
+            if d > best:
+                best = d
+    return ExtNat(best)
 
 
 def star_set_bruteforce(points, cover: Cover) -> frozenset[int]:

@@ -151,6 +151,19 @@ def test_input_errors_exit_two(capsys):
     assert doc["error"] == "PreconditionError"
 
 
+def test_duplicate_value_line_exits_two(tmp_path, capsys):
+    pu_path = tmp_path / "dup.pu.txt"
+    pu_path.write_text("partition-of-unity\npoints 2\nvertices 0 1\n"
+                       "value 0 0 1 2\nvalue 0 0 1 2\nvalue 0 1 1 2\n"
+                       "value 1 1 1 1\nend\n")
+    code, doc = run_cli(capsys, "certify", "pu", "--space", "line2",
+                        "--pu", str(pu_path), "--cover", "gauge",
+                        "--eps", "1", "--diam", "1")
+    assert code == 2
+    assert doc["error"] == "InputError"
+    assert "value 0 0 1 2" in doc["detail"]
+
+
 def test_cli_runs_as_module(tmp_path):
     # The child runs in tmp_path, where a relative PYTHONPATH no longer
     # points at the source tree; put the directory holding the package this

@@ -25,8 +25,10 @@ from coarsedim import (
     star_cover,
     star_set,
 )
+from coarsedim.covers import ChainGraph, diameter_in_graph
 from coarsedim.generators import random_cover, random_refinement_pair
 from coarsedim.oracles import (
+    chain_diameter_all_pairs,
     chain_index_by_enumeration,
     chain_index_by_paths,
     iterated_star_bruteforce,
@@ -278,6 +280,79 @@ def test_chain_diameter_on_line():
 def test_chain_diameter_across_components_is_infinite():
     split = Cover.of([[0, 1], [2, 3]], 4)
     assert chain_diameter({0, 3}, split) == INFINITY
+
+
+def cycle_cover(n):
+    return Cover.of([{i, (i + 1) % n} for i in range(n)], n)
+
+
+def bounded_by_oracle(cover, space, bound):
+    """``is_uniformly_bounded`` with the all-pairs diameter in place of the kernel."""
+    worst, witness = ExtNat(0), None
+    for i, s in enumerate(cover.sets):
+        d = chain_diameter_all_pairs(s, space.chain)
+        if worst < d:
+            worst, witness = d, i
+        if not d.is_finite:
+            break
+    return worst, witness, worst <= bound
+
+
+@pytest.fixture
+def bfs_calls(monkeypatch):
+    """Records the sources of every ``ChainGraph.distances_from`` call."""
+    calls = []
+    full_bfs = ChainGraph.distances_from
+
+    def recording(self, sources):
+        calls.append(tuple(sources))
+        return full_bfs(self, sources)
+
+    monkeypatch.setattr(ChainGraph, "distances_from", recording)
+    return calls
+
+
+def test_chain_diameter_on_cycle_needs_every_source(bfs_calls):
+    # on a cycle every eccentricity is equal, so no bound drops a candidate
+    assert diameter_in_graph(range(12), chain_graph(cycle_cover(12))) == 6
+    assert sorted(bfs_calls) == [(x,) for x in range(12)]
+
+
+def test_chain_diameter_on_line_prunes_to_three_sources(bfs_calls):
+    # least id, then the largest upper bound (far end), then the smallest lower bound (centre)
+    assert diameter_in_graph(range(5, 30), chain_graph(line_cover(40))) == 24
+    assert bfs_calls == [(5,), (29,), (17,)]
+
+
+def test_chain_diameter_on_grid_star_alternates_bounds(bfs_calls):
+    # a star of the 3-brick cover of a 6x6 grid: taking the largest upper
+    # bound every time needs 9 sources, alternating with the smallest lower
+    # bound needs 5
+    grid = gen_grid2d(6, 6)
+    star = star_cover(grid.bricks(3), grid.space.gauge).sets[3]
+    assert sorted(star) == [14, 15, 16, 19, 20, 21, 22, 23, 25, 26, 27, 28, 29,
+                            31, 32, 33, 34, 35]
+    assert diameter_in_graph(star, grid.space.chain) == 6
+    assert bfs_calls == [(14,), (35,), (22,), (31,), (27,)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 18), st.integers(0, 10_000), st.booleans(), st.booleans())
+def test_chain_diameter_matches_all_pairs_oracle(n, seed, connected, cycle):
+    rng = random.Random(seed)
+    if cycle and n >= 3:
+        gauge = cycle_cover(n)
+    else:
+        gauge = random_cover(rng, n, connected=connected)
+    space = FiniteCoarseSpace(n, gauge)
+    subsets = [frozenset(x for x in range(n) if rng.random() < rng.random())
+               for _ in range(6)]
+    for s in subsets:
+        assert diameter_in_graph(s, space.chain) == chain_diameter_all_pairs(s, space.chain)
+    cover = Cover(tuple(subsets) + gauge.sets, n, allow_empty=True)
+    bound = rng.randrange(0, n + 1)
+    cert = is_uniformly_bounded(cover, space, bound)
+    assert (cert.max_diameter, cert.witness, cert.ok) == bounded_by_oracle(cover, space, bound)
 
 
 def test_uniformly_bounded_gauge_passes():

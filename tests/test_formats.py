@@ -117,3 +117,13 @@ def test_loaders_reject_wrong_headers():
         load_cover("coarse-space\npoints 2\nend\n")
     with pytest.raises(InputError):
         load_space("cover\npoints 2\nelement 0 : 0 1\nend\n")
+
+
+DUPLICATE_VALUE_PU = ("partition-of-unity\npoints 2\nvertices 0 1\n"
+                      "value 0 0 1 2\nvalue 0 0 1 2\nvalue 0 1 1 2\n"
+                      "value 1 1 1 1\nend\n")
+
+
+def test_load_pu_rejects_duplicate_value_line():
+    with pytest.raises(InputError, match="'value 0 0 1 2'"):
+        load_pu(DUPLICATE_VALUE_PU)
