@@ -31,7 +31,6 @@ from .covers import (
     is_refinement,
     is_uniformly_bounded,
     iterated_star,
-    iterated_star_set,
     shrink_with_multiplicity,
     star_cover,
     star_set,
@@ -56,7 +55,6 @@ from .metric import (
     FiniteMetricSpace,
     ball_cover,
     certify_delta_pu,
-    certify_pu_metric,
     comparison_backward,
     comparison_forward,
 )

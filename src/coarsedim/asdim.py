@@ -16,11 +16,9 @@ from fractions import Fraction
 from .covers import (
     Cover,
     FiniteCoarseSpace,
-    chain_graph,
     diameter_in_graph,
     is_refinement,
     iterated_star,
-    iterated_star_set,
     shrink_with_multiplicity,
     star_cover,
 )
@@ -314,7 +312,6 @@ class BlendFunction:
     """
 
     values: tuple[Fraction, ...]
-    cases: tuple[BlendCase, ...]
     star_index: tuple[ExtNat, ...]
     complement_index: tuple[ExtNat, ...]
     star_region: frozenset[int]
@@ -331,9 +328,12 @@ class BlendFunction:
         for x, a in enumerate(self.values):
             if not 0 <= a <= 1:
                 raise InputError(f"blend value {a} at point {x} outside [0, 1]")
-            key = (self.star_index[x].is_finite, self.complement_index[x].is_finite)
-            if self.cases[x] is not self._CASE_TABLE[key]:
-                raise InputError(f"case record at point {x} disagrees with its indices")
+
+    @property
+    def cases(self) -> tuple[BlendCase, ...]:
+        """Per point, which of its two chain indices are finite."""
+        return tuple(self._CASE_TABLE[p.is_finite, q.is_finite]
+                     for p, q in zip(self.star_index, self.complement_index))
 
 
 def blend_alpha(subset, m: int, cover: Cover) -> BlendFunction:
@@ -351,31 +351,25 @@ def blend_alpha(subset, m: int, cover: Cover) -> BlendFunction:
         raise InputError("the subset must be a proper subset")
     if m < 1:
         raise InputError("star depth m must be at least 1")
-    star_m = iterated_star_set(region, cover, m)
-    graph = chain_graph(cover)
+    for a in region:
+        cover._check_point(a)
+    graph = cover.chain
+    q_raw = graph.distances_from(region)
+    # the m-fold star of the subset is its chain ball of radius m
+    star_m = frozenset(x for x in range(n) if q_raw[x] is not None and q_raw[x] <= m)
     outside_star = [x for x in range(n) if x not in star_m]
     p_raw = graph.distances_from(outside_star) if outside_star else [None] * n
-    q_raw = graph.distances_from(sorted(region))
 
     values: list[Fraction] = []
-    cases: list[BlendCase] = []
-    for x in range(n):
-        p, q = p_raw[x], q_raw[x]
-        if p is None and q is None:
-            values.append(Fraction(1, 2))
-            cases.append(BlendCase.BOTH_INFINITE)
-        elif p is None:
-            values.append(Fraction(1))
-            cases.append(BlendCase.STAR_INFINITE)
+    for p, q in zip(p_raw, q_raw):
+        if p is None:
+            values.append(Fraction(1) if q is not None else Fraction(1, 2))
         elif q is None:
             values.append(Fraction(0))
-            cases.append(BlendCase.COMPLEMENT_INFINITE)
         else:
             values.append(Fraction(p, p + q) if p + q else Fraction(0))
-            cases.append(BlendCase.BOTH_FINITE)
     return BlendFunction(
         values=tuple(values),
-        cases=tuple(cases),
         star_index=tuple(ExtNat(p) if p is not None else INFINITY for p in p_raw),
         complement_index=tuple(ExtNat(q) if q is not None else INFINITY for q in q_raw),
         star_region=star_m,
@@ -421,18 +415,15 @@ def skeletal_retract(f: PartitionOfUnity, subset, m: int, cover: Cover,
                 f"value at anchor {a} uses {len(f.value(a).carrier)} vertices "
                 f"(allowed {n + 1})", witness=a)
 
-    star_m = iterated_star_set(region, cover, m)
-    graph = chain_graph(cover)
-    anchor_of = _nearest_anchor(graph, sorted(region))
+    dist, anchor_of = _nearest_anchor(cover.chain, region)
 
     values: dict[int, BarycentricPoint] = {}
     anchors: dict[int, int] = {}
     max_shift = Fraction(0)
-    for x in sorted(star_m):
-        c = x if x in region else anchor_of[x]
-        if c is None:
-            raise ConstructionError(f"point {x} in the star region has no reachable anchor")
-        anchors[x] = c
+    for x, d in enumerate(dist):
+        if d is None or d > m:  # outside the m-fold star of the subset
+            continue
+        c = anchors[x] = anchor_of[x]
         fx = f.value(x)
         fc_carrier = f.value(c).carrier
         if fx.carrier <= fc_carrier:
@@ -463,26 +454,20 @@ def skeletal_retract(f: PartitionOfUnity, subset, m: int, cover: Cover,
     return RetractResult(pu, anchors, max_shift, m * delta)
 
 
-def _nearest_anchor(graph, sources: list[int]) -> list[int | None]:
-    """Per point, the least-id source among those at minimal chain distance."""
-    n = graph.n_points
-    root: list[int | None] = [None] * n
+def _nearest_anchor(graph, sources) -> tuple[list[int | None], list[int | None]]:
+    """Per point, the chain distance to the sources and the least-id source at it.
+
+    The nearest sources of x are those of its neighbours one step closer to
+    the sources, so visiting points in order of distance and taking the least
+    root among those neighbours gives the least nearest source.
+    """
+    dist = graph.distances_from(sources)
+    root: list[int | None] = [None] * graph.n_points
     for s in sources:
         root[s] = s
-    layer = list(sources)
-    while layer:
-        proposals: dict[int, int] = {}
-        for x in layer:
-            r = root[x]
-            for y in graph.neighbors[x]:
-                if root[y] is None:
-                    old = proposals.get(y)
-                    if old is None or r < old:
-                        proposals[y] = r
-        for y, r in proposals.items():
-            root[y] = r
-        layer = sorted(proposals)
-    return root
+    for x in sorted((x for x, d in enumerate(dist) if d), key=dist.__getitem__):
+        root[x] = min(root[y] for y in graph.neighbors[x] if dist[y] == dist[x] - 1)
+    return dist, root
 
 
 @dataclass(frozen=True)

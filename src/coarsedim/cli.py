@@ -289,15 +289,7 @@ def _cmd_oracle(args) -> int:
             n = rng.randrange(2, args.max_points + 1)
             fine, coarse = random_refinement_pair(rng, n)
             shrunk = shrink_with_multiplicity(fine, coarse)
-            okay = all(shrunk.sets[s] <= coarse.sets[s] for s in range(len(coarse.sets)))
-            okay = okay and is_refinement(fine, shrunk).ok
-            okay = okay and all(shrunk.multiplicity(x) <= fine.multiplicity(x)
-                                for x in range(n))
-            for s in range(len(coarse.sets)):
-                for x in coarse.sets[s]:
-                    if coarse.multiplicity(x) <= fine.multiplicity(x) and x not in shrunk.sets[s]:
-                        okay = False
-            if not okay:
+            if oracles.shrink_clause_violation(fine, coarse, shrunk) is not None:
                 violations += 1
         doc = {"oracle": "shrink", "instances": args.instances,
                "violations": violations, "ok": violations == 0}
@@ -489,13 +481,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (InputError, PreconditionError) as exc:
+    except (InputError, PreconditionError, ConstructionError, OSError) as exc:
+        # OSError: an input or output path that cannot be read or written
         sys.stdout.write(formats.doc_dumps(
             {"error": type(exc).__name__, "detail": str(exc)}))
-        return 2
-    except ConstructionError as exc:
-        sys.stdout.write(formats.doc_dumps(
-            {"error": "ConstructionError", "detail": str(exc)}))
         return 2
 
 

@@ -66,6 +66,11 @@ class Cover:
                 mem[x].append(i)
         return tuple(tuple(m) for m in mem)
 
+    @cached_property
+    def chain(self) -> "ChainGraph":
+        """The chain graph of this cover, built on first use."""
+        return chain_graph(self)
+
     def multiplicity(self, x: int) -> int:
         """Number of elements containing x (duplicates counted per index)."""
         self._check_point(x)
@@ -117,9 +122,13 @@ class FiniteCoarseSpace:
     def points(self) -> range:
         return range(self.n_points)
 
-    @cached_property
+    @property
     def chain(self) -> "ChainGraph":
-        return chain_graph(self.gauge)
+        return self.gauge.chain
+
+    def set_diameter(self, points) -> ExtNat:
+        """Chain diameter of a point set in the gauge's chain graph."""
+        return diameter_in_graph(points, self.chain)
 
 
 @dataclass(frozen=True)
@@ -154,11 +163,17 @@ class ChainGraph:
 
 
 def chain_graph(cover: Cover) -> ChainGraph:
-    nbrs: list[set[int]] = [{x} for x in range(cover.n_points)]
-    for s in cover.sets:
-        for x in s:
-            nbrs[x].update(s)
-    return ChainGraph(tuple(tuple(sorted(v)) for v in nbrs))
+    """Neighbours of x: the union of the elements containing x.
+
+    Points with the same membership share one row, so a coarse cover whose
+    elements hold hundreds of points costs one row per distinct membership,
+    not one per point.
+    """
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for m in cover.membership:
+        if m not in rows:
+            rows[m] = tuple(sorted(set().union(*(cover.sets[i] for i in m))))
+    return ChainGraph(tuple(rows[m] for m in cover.membership))
 
 
 @dataclass(frozen=True)
@@ -207,16 +222,6 @@ def star_set(points: Iterable[int], cover: Cover) -> frozenset[int]:
                 seen_elems.add(i)
                 out |= cover.sets[i]
     return frozenset(out)
-
-
-def iterated_star_set(points: Iterable[int], cover: Cover, k: int) -> frozenset[int]:
-    """k-fold star of a point set: the chain ball of radius k around it."""
-    if k < 0:
-        raise InputError("star iteration count must be nonnegative")
-    current = frozenset(points)
-    for _ in range(k):
-        current = star_set(current, cover)
-    return current
 
 
 def star_cover(cover: Cover, against: Cover) -> Cover:
@@ -268,29 +273,13 @@ def chain_index(cover: Cover, x: int, region: Iterable[int]) -> ExtNat:
     """
     cover._check_point(x)
     inside = frozenset(region)
-    if x not in inside:
-        return ExtNat(0)
-    graph = chain_graph(cover)
-    seen = {x}
-    queue = deque([x])
-    depth = {x: 0}
-    while queue:
-        p = queue.popleft()
-        d = depth[p] + 1
-        for y in graph.neighbors[p]:
-            if y not in seen:
-                if y not in inside:
-                    return ExtNat(d)
-                seen.add(y)
-                depth[y] = d
-                queue.append(y)
-    return INFINITY
+    d = cover.chain.distances_from(y for y in range(cover.n_points) if y not in inside)[x]
+    return INFINITY if d is None else ExtNat(d)
 
 
 def chain_diameter(points: Iterable[int], cover: Cover) -> ExtNat:
     """Largest chain-graph distance between two points of the set (0 for <=1 point)."""
-    graph = chain_graph(cover)
-    return diameter_in_graph(points, graph)
+    return diameter_in_graph(points, cover.chain)
 
 
 def diameter_in_graph(points: Iterable[int], graph: ChainGraph) -> ExtNat:
@@ -358,19 +347,22 @@ class BoundednessCertificate:
     ok: bool
 
 
-def is_uniformly_bounded(cover: Cover, space: FiniteCoarseSpace, bound: int) -> BoundednessCertificate:
-    """Check every element has chain diameter <= bound in the gauge's chain graph."""
+def is_uniformly_bounded(cover: Cover, space, bound) -> BoundednessCertificate:
+    """Check every element has diameter <= bound, as measured by ``space.set_diameter``.
+
+    A coarse space measures chain diameter in its gauge (an ExtNat), a metric
+    space measures metric diameter (a Fraction).
+    """
     if cover.n_points != space.n_points:
         raise InputError("cover is over a different point set than the space")
-    graph = space.chain
-    worst: ExtNat = ExtNat(0)
+    worst = space.set_diameter(())
     witness = None
     for i, s in enumerate(cover.sets):
-        d = diameter_in_graph(s, graph)
+        d = space.set_diameter(s)
         if worst < d:
             worst = d
             witness = i
-        if not d.is_finite:
+        if d == INFINITY:  # nothing exceeds it
             break
     return BoundednessCertificate(bound, worst, witness, worst <= bound)
 

@@ -75,10 +75,8 @@ def parse_fraction(text: str) -> Fraction | None:
     text = text.strip()
     if text == "inf":
         return None
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    parts = _ints(text.split("/", 1), text)
+    return _fraction(*parts, text) if len(parts) == 2 else Fraction(parts[0])
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +96,9 @@ def dump_cover(cover: Cover) -> str:
 
 
 def load_cover(text: str) -> Cover:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] not in ("cover", "cover relaxed"):
-        raise InputError("not a cover file")
-    allow_empty = lines[0] == "cover relaxed"
-    n = _parse_points(lines[1])
-    sets = []
-    for ln in lines[2:]:
-        if ln == "end":
-            break
-        sets.append(_parse_element(ln, "element", len(sets)))
-    return Cover(tuple(sets), n, allow_empty)
+    head, n, body = _read(text, ("cover", "cover relaxed"), 2)
+    sets = [_parse_element(ln, "element", i, n) for i, ln in enumerate(body)]
+    return Cover(tuple(sets), n, head[0] == "cover relaxed")
 
 
 def dump_space(space: FiniteCoarseSpace) -> str:
@@ -120,15 +110,8 @@ def dump_space(space: FiniteCoarseSpace) -> str:
 
 
 def load_space(text: str) -> FiniteCoarseSpace:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "coarse-space":
-        raise InputError("not a coarse-space file")
-    n = _parse_points(lines[1])
-    sets = []
-    for ln in lines[2:]:
-        if ln == "end":
-            break
-        sets.append(_parse_element(ln, "gauge", len(sets)))
+    _, n, body = _read(text, ("coarse-space",), 2)
+    sets = [_parse_element(ln, "gauge", i, n) for i, ln in enumerate(body)]
     return FiniteCoarseSpace(n, Cover(tuple(sets), n))
 
 
@@ -145,25 +128,23 @@ def dump_pu(f: PartitionOfUnity) -> str:
 
 
 def load_pu(text: str) -> PartitionOfUnity:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "partition-of-unity":
-        raise InputError("not a partition-of-unity file")
-    n = _parse_points(lines[1])
-    if not lines[2].startswith("vertices"):
-        raise InputError("missing vertices line")
-    vertices = tuple(int(tok) for tok in lines[2].split()[1:])
+    head, n, body = _read(text, ("partition-of-unity",), 3)
+    if not head[2].startswith("vertices"):
+        raise InputError(f"missing vertices line, got {head[2]!r}")
+    vertices = tuple(_ints(head[2].split()[1:], head[2]))
+    known = set(vertices)
     weights: dict[int, dict[int, Fraction]] = {}
-    for ln in lines[3:]:
-        if ln == "end":
-            break
+    for ln in body:
         tok = ln.split()
         if len(tok) != 5 or tok[0] != "value":
             raise InputError(f"bad value line: {ln!r}")
-        x, v, num, den = (int(t) for t in tok[1:])
+        x, v, num, den = _ints(tok[1:], ln)
+        if not 0 <= x < n or v not in known:
+            raise InputError(f"unknown point or vertex in {ln!r}")
         row = weights.setdefault(x, {})
         if v in row:
             raise InputError(f"duplicate value line for point {x}, vertex {v}: {ln!r}")
-        row[v] = Fraction(num, den)
+        row[v] = _fraction(num, den, ln)
     values = {x: BarycentricPoint(w) for x, w in weights.items()}
     return PartitionOfUnity(values, n, vertices)
 
@@ -179,32 +160,61 @@ def dump_metric(metric: FiniteMetricSpace) -> str:
 
 
 def load_metric(text: str) -> FiniteMetricSpace:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "metric-space":
-        raise InputError("not a metric-space file")
-    n = _parse_points(lines[1])
+    _, n, body = _read(text, ("metric-space",), 2)
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for ln in lines[2:]:
-        if ln == "end":
-            break
+    for ln in body:
         tok = ln.split()
         if len(tok) != 5 or tok[0] != "distance":
             raise InputError(f"bad distance line: {ln!r}")
-        i, j, num, den = (int(t) for t in tok[1:])
-        rows[i][j] = rows[j][i] = Fraction(num, den)
+        i, j, num, den = _ints(tok[1:], ln)
+        if not (0 <= i < n and 0 <= j < n):
+            raise InputError(f"unknown point in {ln!r}")
+        rows[i][j] = rows[j][i] = _fraction(num, den, ln)
     return FiniteMetricSpace(n, rows)
+
+
+def _read(text: str, kinds: tuple[str, ...], n_header: int) -> tuple[list[str], int, list[str]]:
+    """The header lines, the point count and the lines between the header and ``end``.
+
+    The first header line names the file kind and the second is the points line.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] not in kinds:
+        raise InputError(f"not a {kinds[0]} file")
+    if len(lines) <= n_header:
+        raise InputError(f"file ends inside its header, after {lines[-1]!r}")
+    if "end" not in lines[n_header:]:
+        raise InputError(f"no end line after {lines[-1]!r}")
+    n = _parse_points(lines[1])
+    return lines[:n_header], n, lines[n_header:lines.index("end", n_header)]
+
+
+def _ints(tokens, line: str) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise InputError(f"non-integer token in {line!r}") from None
+
+
+def _fraction(num: int, den: int, line: str) -> Fraction:
+    if den == 0:
+        raise InputError(f"zero denominator in {line!r}")
+    return Fraction(num, den)
 
 
 def _parse_points(line: str) -> int:
     tok = line.split()
     if len(tok) != 2 or tok[0] != "points":
         raise InputError(f"expected a points line, got {line!r}")
-    return int(tok[1])
+    return _ints(tok[1:], line)[0]
 
 
-def _parse_element(line: str, keyword: str, expect_index: int) -> frozenset[int]:
+def _parse_element(line: str, keyword: str, expect_index: int, n: int) -> frozenset[int]:
     head, _, tail = line.partition(":")
     tok = head.split()
-    if len(tok) != 2 or tok[0] != keyword or int(tok[1]) != expect_index:
+    if len(tok) != 2 or tok[0] != keyword or _ints(tok[1:], line) != [expect_index]:
         raise InputError(f"bad {keyword} line: {line!r}")
-    return frozenset(int(t) for t in tail.split())
+    points = frozenset(_ints(tail.split(), line))
+    if points and (min(points) < 0 or max(points) >= n):
+        raise InputError(f"unknown point in {line!r}")
+    return points

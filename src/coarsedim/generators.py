@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covers import Cover, FiniteCoarseSpace, chain_graph
+from .covers import Cover, FiniteCoarseSpace
 from .errors import InputError
 from .metric import FiniteMetricSpace
 
@@ -219,7 +219,7 @@ def random_cover(rng, n_points: int, max_extra: int = 4, max_size: int = 4,
             if x not in covered:
                 sets.append(frozenset((x,)))
         cover = Cover(tuple(sets), n_points)
-        if not connected or chain_graph(cover).is_connected():
+        if not connected or cover.chain.is_connected():
             return cover
     # deterministic fallback: thread a path through the space
     sets = list(cover.sets) + [frozenset((i, i + 1)) for i in range(n_points - 1)]

@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covers import BoundednessCertificate, Cover
+from .covers import BoundednessCertificate, Cover, is_uniformly_bounded
 from .errors import InputError, PreconditionError
-from .pou import PartitionOfUnity, PUCertificate, coarsening_witnesses, l1_distance, variation
+from .pou import PartitionOfUnity, PUCertificate, certify_pu, l1_distance
 
 TRIANGLE_CHECK_LIMIT = 150
 
@@ -110,18 +110,6 @@ class DeltaPUCertificate:
     ok: bool
 
 
-def _metric_boundedness(f: PartitionOfUnity, metric: FiniteMetricSpace,
-                        bound: Fraction) -> BoundednessCertificate:
-    worst = Fraction(0)
-    witness = None
-    for i, v in enumerate(f.vertices):
-        diam = metric.set_diameter(f.star_preimage(v))
-        if diam > worst:
-            worst = diam
-            witness = i
-    return BoundednessCertificate(bound, worst, witness, worst <= bound)
-
-
 def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
                      diameter_bound) -> DeltaPUCertificate:
     delta = Fraction(delta)
@@ -156,7 +144,7 @@ def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
                 if not (fx.carrier & f.values[y].carrier):
                     leb_ok = False
                     leb_pair = (x, y)
-    bcert = _metric_boundedness(f, metric, diameter_bound)
+    bcert = is_uniformly_bounded(f.star_preimage_cover(), metric, diameter_bound)
     return DeltaPUCertificate(
         delta=delta,
         lipschitz_ok=lip_ok,
@@ -167,29 +155,6 @@ def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
         lebesgue_pair=leb_pair,
         boundedness=bcert,
         ok=lip_ok and leb_ok and bcert.ok,
-    )
-
-
-def certify_pu_metric(f: PartitionOfUnity, cover: Cover, metric: FiniteMetricSpace,
-                      eps, diameter_bound) -> PUCertificate:
-    """Cover-based certificate with star-preimage boundedness taken metrically."""
-    if cover.n_points != metric.n_points:
-        raise InputError("cover is over a different point set than the metric space")
-    eps = None if eps is None else Fraction(eps)
-    var = variation(f, cover)
-    var_ok = eps is None or var.value < eps
-    witnesses, failing = coarsening_witnesses(f, cover)
-    bcert = _metric_boundedness(f, metric, Fraction(diameter_bound))
-    return PUCertificate(
-        eps=eps,
-        variation_value=var.value,
-        variation_pair=var.pair,
-        variation_ok=var_ok,
-        coarsening=witnesses,
-        coarsening_ok=failing is None,
-        coarsening_failure=failing,
-        boundedness=bcert,
-        ok=var_ok and failing is None and bcert.ok,
     )
 
 
@@ -208,7 +173,7 @@ def comparison_forward(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
         raise PreconditionError(
             "input does not certify at delta^2/4 on the metric side", witness=gate)
     balls = ball_cover(metric, 1 / delta)
-    return certify_pu_metric(f, balls, metric, delta, diameter_bound)
+    return certify_pu(f, balls, metric, delta, Fraction(diameter_bound))
 
 
 def comparison_backward(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
@@ -239,7 +204,7 @@ def comparison_backward(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
                     raise PreconditionError(
                         f"pair ({x}, {y}) is closer than 1/delta but shares no element",
                         witness=(x, y))
-    gate = certify_pu_metric(f, cover, metric, delta, diameter_bound)
+    gate = certify_pu(f, cover, metric, delta, Fraction(diameter_bound))
     if not gate.ok:
         raise PreconditionError(
             "input does not certify against the cover at delta", witness=gate)

@@ -1,18 +1,29 @@
 """Independent brute-force reference implementations for tiny instances.
 
 These deliberately avoid the algorithms used by the library proper (multi-
-source BFS, frontier star growth) so they can serve as oracles in randomized
-comparisons: chain indices by literal endpoint enumeration or path search,
-stars by scanning every element, nerves by checking every index subset,
-chain diameters by a full BFS from every point.
+source BFS, frontier star growth, shared chain-graph rows) so they can serve
+as oracles in randomized comparisons: chain graphs by merging every element
+into each of its points, chain indices by literal endpoint enumeration or path
+search, stars by scanning every element, nerves by checking every index
+subset, chain diameters by a full BFS from every point, and the shrinking
+clauses by checking each one point by point.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .covers import ChainGraph, Cover, chain_graph
+from .covers import ChainGraph, Cover, is_refinement
 from .extnat import INFINITY, ExtNat
+
+
+def chain_graph_by_elements(cover: Cover) -> ChainGraph:
+    """Chain graph built one element at a time: each point gains every element it lies in."""
+    nbrs: list[set[int]] = [{x} for x in range(cover.n_points)]
+    for s in cover.sets:
+        for x in s:
+            nbrs[x].update(s)
+    return ChainGraph(tuple(tuple(sorted(v)) for v in nbrs))
 
 
 def chain_index_by_enumeration(cover: Cover, x: int, region) -> ExtNat:
@@ -20,7 +31,7 @@ def chain_index_by_enumeration(cover: Cover, x: int, region) -> ExtNat:
     inside = frozenset(region)
     if x not in inside:
         return ExtNat(0)
-    graph = chain_graph(cover)
+    graph = chain_graph_by_elements(cover)
     reachable = {x}
     for j in range(1, cover.n_points + 1):
         nxt = set(reachable)
@@ -37,7 +48,7 @@ def chain_index_by_paths(cover: Cover, x: int, region) -> ExtNat:
     inside = frozenset(region)
     if x not in inside:
         return ExtNat(0)
-    graph = chain_graph(cover)
+    graph = chain_graph_by_elements(cover)
     best: list[int | None] = [None]
 
     def walk(p: int, length: int, visited: frozenset[int]):
@@ -73,6 +84,25 @@ def chain_diameter_all_pairs(points, graph: ChainGraph) -> ExtNat:
     return ExtNat(best)
 
 
+def nearest_source_all_pairs(cover: Cover, sources) -> tuple[list, list]:
+    """Per point, the chain distance to the sources and the least source at it.
+
+    All-pairs distances by Floyd-Warshall on the reference chain graph; both
+    entries are None where no source is reachable.
+    """
+    n = cover.n_points
+    graph = chain_graph_by_elements(cover)
+    d = [[0 if x == y else 1 if y in graph.neighbors[x] else n for y in range(n)]
+         for x in range(n)]  # n stands for "unreachable": every path is shorter
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    nearest = [min((d[s][x], s) for s in sources) for x in range(n)]
+    return ([dx if dx < n else None for dx, _ in nearest],
+            [s if dx < n else None for dx, s in nearest])
+
+
 def star_set_bruteforce(points, cover: Cover) -> frozenset[int]:
     region = frozenset(points)
     out: set[int] = set()
@@ -104,3 +134,28 @@ def nerve_simplices_bruteforce(cover: Cover, d_cap: int) -> frozenset[frozenset[
             if common:
                 out.add(frozenset(combo))
     return frozenset(out)
+
+
+def shrink_clause_violation(fine: Cover, coarse: Cover, shrunk: Cover) -> str | None:
+    """The first shrinking clause ``shrunk`` breaks, or None when it keeps all of them.
+
+    The clauses: one element per coarse element, each inside its coarse
+    element, a coarsening of ``fine``, multiplicity at most fine's at every
+    point, and every coarse point whose coarse multiplicity is at most its fine
+    multiplicity kept in each element containing it.
+    """
+    if len(shrunk.sets) != len(coarse.sets):
+        return "length"
+    for s, vs in enumerate(coarse.sets):
+        if not shrunk.sets[s] <= vs:
+            return f"shrinking at element {s}"
+    if not is_refinement(fine, shrunk).ok:
+        return "coarsening"
+    for x in range(fine.n_points):
+        if shrunk.multiplicity(x) > fine.multiplicity(x):
+            return f"multiplicity at point {x}"
+    for s, vs in enumerate(coarse.sets):
+        for x in vs:
+            if coarse.multiplicity(x) <= fine.multiplicity(x) and x not in shrunk.sets[s]:
+                return f"membership of point {x} in element {s}"
+    return None

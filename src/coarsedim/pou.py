@@ -9,13 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covers import (
-    BoundednessCertificate,
-    Cover,
-    FiniteCoarseSpace,
-    chain_graph,
-    is_uniformly_bounded,
-)
+from .covers import BoundednessCertificate, Cover, is_uniformly_bounded
 from .errors import ConstructionError, InputError
 
 
@@ -317,7 +311,7 @@ def barycentric_map(chain_cover: Cover, target_cover: Cover, d_cap: int | None =
     if chain_cover.n_points != target_cover.n_points:
         raise InputError("covers are over different point sets")
     n = chain_cover.n_points
-    graph = chain_graph(chain_cover)
+    graph = chain_cover.chain
     all_points = range(n)
     index_of_element: list[list[int | None]] = []
     for s in target_cover.sets:
@@ -397,12 +391,13 @@ class PUCertificate:
     ok: bool
 
 
-def certify_pu(f: PartitionOfUnity, cover: Cover, space: FiniteCoarseSpace,
-               eps: Fraction | None, diameter_bound: int) -> PUCertificate:
+def certify_pu(f: PartitionOfUnity, cover: Cover, space, eps: Fraction | None,
+               diameter_bound) -> PUCertificate:
     """Certify f as a partition of unity against ``cover`` at bound ``eps``.
 
-    ``eps=None`` means no variation bound.  Star preimage boundedness is chain
-    diameter in the gauge of ``space`` against ``diameter_bound``.
+    ``eps=None`` means no variation bound.  Star preimage boundedness is
+    ``space.set_diameter`` against ``diameter_bound``: chain diameter in the
+    gauge of a FiniteCoarseSpace, metric diameter in a FiniteMetricSpace.
     """
     if not f.is_total:
         raise InputError("certification needs a total assignment")

@@ -4,12 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsedim import (
+    BarycentricPoint,
     BlendCase,
     Cover,
     FillerParams,
     InputError,
+    PartitionOfUnity,
     PreconditionError,
     barycentric_map,
     blend_alpha,
@@ -28,6 +32,9 @@ from coarsedim import (
     trim_to_cover,
     variation,
 )
+from coarsedim.asdim import _nearest_anchor
+from coarsedim.generators import random_cover
+from coarsedim.oracles import nearest_source_all_pairs, star_set_bruteforce
 
 F = Fraction
 
@@ -239,6 +246,9 @@ def test_blend_rejects_degenerate_subsets():
         blend_alpha(set(), 1, u)
     with pytest.raises(InputError):
         blend_alpha(range(5), 1, u)
+    for unknown in ({0, 9}, {-1}):
+        with pytest.raises(InputError):
+            blend_alpha(unknown, 1, u)
 
 
 # --- retract ---------------------------------------------------------------------------
@@ -338,3 +348,21 @@ def test_filler_gates_on_input_certificate():
     fast = barycentric_map(space.gauge, line.staggered(5))
     with pytest.raises(PreconditionError):
         filler(space, fast, range(200), space.gauge, coarse, params, 599)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 10_000), st.booleans(), st.integers(1, 3))
+def test_nearest_anchor_and_star_regions_match_references(n, seed, connected, m):
+    rng = random.Random(seed)
+    cover = random_cover(rng, n, connected=connected)
+    region = frozenset(rng.sample(range(n), rng.randrange(1, n)))
+    assert _nearest_anchor(cover.chain, region) == nearest_source_all_pairs(cover, region)
+
+    star = region
+    for _ in range(m):
+        star = star_set_bruteforce(star, cover)
+    assert blend_alpha(region, m, cover).star_region == star
+    const = PartitionOfUnity({x: BarycentricPoint.vertex(0) for x in range(n)}, n, (0,))
+    retract = skeletal_retract(const, region, m, cover, F(1, 16 * m), 0)
+    _, root = nearest_source_all_pairs(cover, region)
+    assert retract.anchors == {x: root[x] for x in sorted(star)}

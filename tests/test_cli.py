@@ -177,3 +177,58 @@ def test_cli_runs_as_module(tmp_path):
         capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ok"] is True
+
+
+PU = "partition-of-unity\npoints 2\nvertices 0 1\nvalue 0 0 1 1\nvalue 1 1 1 1\nend\n"
+METRIC = "metric-space\npoints 2\ndistance 0 1 1 1\nend\n"
+MISSING = None  # no file is written for this argument
+
+
+@pytest.mark.parametrize("files, quote", [
+    pytest.param({"space": "line2", "pu": PU.replace("1 1 1 1", "1 1 1 0")},
+                 "value 1 1 1 0", id="zero-denominator"),
+    pytest.param({"space": "line2", "pu": PU.replace("1 1 1 1", "1 1 a 2")},
+                 "value 1 1 a 2", id="non-integer-token"),
+    pytest.param({"space": "line2", "pu": "partition-of-unity\n"},
+                 "partition-of-unity", id="truncated-header"),
+    pytest.param({"space": "line2", "pu": PU.replace("value 1 1", "value 2 1")},
+                 "value 2 1 1 1", id="point-out-of-range"),
+    pytest.param({"space": "line2", "pu": PU.replace("value 1 1", "value 1 7")},
+                 "value 1 7 1 1", id="unknown-vertex"),
+    pytest.param({"space": "coarse-space\npoints 2\ngauge 0 : 0 1\n", "pu": PU},
+                 "gauge 0 : 0 1", id="space-without-end"),
+    pytest.param({"space": "coarse-space\npoints 2\ngauge 0 : 0 -1\nend\n", "pu": PU},
+                 "gauge 0 : 0 -1", id="space-negative-point"),
+    pytest.param({"metric": METRIC.replace("0 1 1 1", "-1 0 1 1"), "pu": PU},
+                 "distance -1 0 1 1", id="metric-negative-index"),
+    pytest.param({"metric": METRIC.replace("end\n", ""), "pu": PU},
+                 "distance 0 1 1 1", id="metric-without-end"),
+    pytest.param({"space": "line2", "pu": MISSING}, "pu.txt", id="missing-pu"),
+    pytest.param({"space": MISSING, "pu": PU}, "space.txt", id="missing-space"),
+    pytest.param({"metric": MISSING, "pu": PU}, "metric.txt", id="missing-metric"),
+])
+def test_malformed_input_exits_two_with_error_document(tmp_path, capsys, files, quote):
+    argv = ["certify", "pu" if "space" in files else "delta"]
+    for name, text in files.items():
+        path = tmp_path / f"{name}.txt"
+        if text is not None and text.startswith("line"):
+            argv += [f"--{name}", text]
+            continue
+        if text is not None:
+            path.write_text(text)
+        argv += [f"--{name}", str(path)]
+    argv += ["--cover", "gauge", "--eps", "1"] if "space" in files else ["--delta", "1"]
+    code = main(argv + ["--diam", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    doc = doc_loads(captured.out)
+    assert set(doc) == {"error", "detail"}
+    assert quote in doc["detail"]
+    assert "Traceback" not in captured.err
+
+
+def test_malformed_fraction_argument_exits_two(capsys):
+    code, doc = run_cli(capsys, "filler", "--space", "line20", "--n", "1",
+                        "--eps", "1/0", "--a-end", "5", "--diam", "19")
+    assert code == 2
+    assert doc["error"] == "InputError" and "1/0" in doc["detail"]

@@ -25,13 +25,16 @@ from coarsedim import (
     star_cover,
     star_set,
 )
+from coarsedim import covers
 from coarsedim.covers import ChainGraph, diameter_in_graph
 from coarsedim.generators import random_cover, random_refinement_pair
 from coarsedim.oracles import (
     chain_diameter_all_pairs,
+    chain_graph_by_elements,
     chain_index_by_enumeration,
     chain_index_by_paths,
     iterated_star_bruteforce,
+    shrink_clause_violation,
     star_set_bruteforce,
 )
 
@@ -221,6 +224,30 @@ def test_chain_graph_triple_element_gives_triangle():
     assert g.neighbors == ((0, 1, 2),) * 3
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 10_000), st.booleans(), st.booleans())
+def test_chain_graph_matches_per_element_reference(n, seed, empties, duplicates):
+    rng = random.Random(seed)
+    sets = list(random_cover(rng, n).sets)
+    if duplicates:
+        sets += [rng.choice(sets) for _ in range(3)]
+    if empties:
+        sets.insert(rng.randrange(len(sets) + 1), frozenset())
+    cover = Cover(tuple(sets), n, allow_empty=empties)
+    assert chain_graph(cover).neighbors == chain_graph_by_elements(cover).neighbors
+
+
+def test_cover_chain_is_built_once_through_the_module_function(monkeypatch):
+    # the per-layer trace counts chain graphs by wrapping covers.chain_graph
+    calls = []
+    build = covers.chain_graph
+    monkeypatch.setattr(covers, "chain_graph", lambda c: calls.append(c) or build(c))
+    cover = line_cover(5)
+    assert cover.chain is cover.chain
+    assert calls == [cover]
+    assert FiniteCoarseSpace(5, cover).chain is cover.chain
+
+
 def test_chain_index_zero_outside():
     u = line_cover(5)
     assert chain_index(u, 4, {0, 1, 2}) == 0
@@ -395,18 +422,18 @@ def test_shrink_requires_refinement():
         shrink_with_multiplicity(u, v)
 
 
-def _check_shrink_clauses(fine, coarse, shrunk):
-    n = fine.n_points
-    assert len(shrunk.sets) == len(coarse.sets)
-    for s in range(len(coarse.sets)):
-        assert shrunk.sets[s] <= coarse.sets[s]
-    assert is_refinement(fine, shrunk).ok
-    for x in range(n):
-        assert shrunk.multiplicity(x) <= fine.multiplicity(x)
-    for s, vs in enumerate(coarse.sets):
-        for x in vs:
-            if coarse.multiplicity(x) <= fine.multiplicity(x):
-                assert x in shrunk.sets[s]
+# fine [0 1][2] in coarse [0 1 2][1 2] shrinks to [0 1 2][]; each other family breaks one clause
+@pytest.mark.parametrize("n, fine, coarse, shrunk, clause", [
+    (3, [[0, 1], [2]], [[0, 1, 2], [1, 2]], [[0, 1, 2], []], None),
+    (3, [[0, 1], [2]], [[0, 1, 2], [1, 2]], [[0, 1, 2]], "length"),
+    (3, [[0, 1], [2]], [[0, 1, 2], [1, 2]], [[0, 1, 2], [0, 1, 2]], "shrinking at element 1"),
+    (3, [[0, 1], [2]], [[0, 1, 2], [1, 2]], [[0, 2], [1, 2]], "coarsening"),
+    (3, [[0, 1], [2]], [[0, 1, 2], [1, 2]], [[0, 1, 2], [2]], "multiplicity at point 2"),
+    (2, [[0], [0], [1]], [[0, 1], [0, 1]], [[0, 1], []], "membership of point 0 in element 1"),
+])
+def test_shrink_clause_checker_names_each_clause(n, fine, coarse, shrunk, clause):
+    fine, coarse = Cover.of(fine, n), Cover.of(coarse, n)
+    assert shrink_clause_violation(fine, coarse, Cover.of(shrunk, n, allow_empty=True)) == clause
 
 
 def test_shrink_clauses_on_random_pairs():
@@ -414,7 +441,8 @@ def test_shrink_clauses_on_random_pairs():
     for _ in range(80):
         n = rng.randrange(2, 31)
         fine, coarse = random_refinement_pair(rng, n)
-        _check_shrink_clauses(fine, coarse, shrink_with_multiplicity(fine, coarse))
+        shrunk = shrink_with_multiplicity(fine, coarse)
+        assert shrink_clause_violation(fine, coarse, shrunk) is None
 
 
 @settings(max_examples=50, deadline=None)
@@ -422,7 +450,8 @@ def test_shrink_clauses_on_random_pairs():
 def test_shrink_clauses_property(n, seed):
     rng = random.Random(seed)
     fine, coarse = random_refinement_pair(rng, n)
-    _check_shrink_clauses(fine, coarse, shrink_with_multiplicity(fine, coarse))
+    shrunk = shrink_with_multiplicity(fine, coarse)
+    assert shrink_clause_violation(fine, coarse, shrunk) is None
 
 
 # --- spaces ---------------------------------------------------------------------
