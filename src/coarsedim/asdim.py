@@ -21,6 +21,7 @@ from .covers import (
     iterated_star,
     shrink_with_multiplicity,
     star_cover,
+    star_set,
 )
 from .errors import ConstructionError, InputError, PreconditionError
 from .extnat import INFINITY, ExtNat
@@ -218,15 +219,8 @@ def trim_to_cover(f: PartitionOfUnity, cover: Cover, n: int | None = None) -> Tr
             witness=twice.sets[ref.counterexample])
 
     all_points = frozenset(range(cover.n_points))
-    trimmed = []
-    for s in preimages.sets:
-        outside = all_points - s
-        removal: set[int] = set()
-        for x in outside:
-            for e in cover.membership[x]:
-                removal |= cover.sets[e]
-        trimmed.append(s - removal)
-    result = Cover(tuple(trimmed), cover.n_points, allow_empty=True)
+    result = Cover(tuple(s - star_set(all_points - s, cover) for s in preimages.sets),
+                   cover.n_points, allow_empty=True)
 
     back = is_refinement(cover, result)
     if not back.ok:

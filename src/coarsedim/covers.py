@@ -213,15 +213,29 @@ def is_refinement(fine: Cover, coarse: Cover) -> RefinementCheck:
 
 def star_set(points: Iterable[int], cover: Cover) -> frozenset[int]:
     """Union of all cover elements meeting the given set."""
-    seen_elems: set[int] = set()
-    out: set[int] = set()
-    for a in points:
+    pts = tuple(points)
+    for a in pts:
         cover._check_point(a)
-        for i in cover.membership[a]:
-            if i not in seen_elems:
-                seen_elems.add(i)
-                out |= cover.sets[i]
-    return frozenset(out)
+    return _star_ball(pts, cover, 1)
+
+
+def _star_ball(points: Iterable[int], cover: Cover, k: int) -> frozenset[int]:
+    """The set starred k times against ``cover``, merging each element at most once."""
+    ball = set(points)
+    frontier = ball
+    used: set[int] = set()
+    for _ in range(k):
+        grown: set[int] = set()
+        for x in frontier:
+            for e in cover.membership[x]:
+                if e not in used:
+                    used.add(e)
+                    grown |= cover.sets[e]
+        frontier = grown - ball
+        if not frontier:
+            break
+        ball |= frontier
+    return frozenset(ball)
 
 
 def star_cover(cover: Cover, against: Cover) -> Cover:
@@ -246,23 +260,8 @@ def iterated_star(cover: Cover, k: int) -> Cover:
         raise InputError("star iteration count must be nonnegative")
     if k == 0:
         return cover
-    current: list[set[int]] = [set(s) for s in cover.sets]
-    frontier: list[set[int]] = [set(s) for s in cover.sets]
-    used_elems: list[set[int]] = [set() for _ in cover.sets]
-    for _ in range(k):
-        for idx in range(len(current)):
-            if not frontier[idx]:
-                continue
-            grown: set[int] = set()
-            for x in frontier[idx]:
-                for e in cover.membership[x]:
-                    if e not in used_elems[idx]:
-                        used_elems[idx].add(e)
-                        grown |= cover.sets[e]
-            new_points = grown - current[idx]
-            current[idx] |= new_points
-            frontier[idx] = new_points
-    return Cover(tuple(frozenset(s) for s in current), cover.n_points, cover.allow_empty)
+    return Cover(tuple(_star_ball(s, cover, k) for s in cover.sets),
+                 cover.n_points, cover.allow_empty)
 
 
 def chain_index(cover: Cover, x: int, region: Iterable[int]) -> ExtNat:
@@ -356,14 +355,15 @@ def is_uniformly_bounded(cover: Cover, space, bound) -> BoundednessCertificate:
     if cover.n_points != space.n_points:
         raise InputError("cover is over a different point set than the space")
     worst = space.set_diameter(())
-    witness = None
-    for i, s in enumerate(cover.sets):
+    worst_set = None
+    for s in dict.fromkeys(cover.sets):  # each distinct set once, by its least index
         d = space.set_diameter(s)
         if worst < d:
             worst = d
-            witness = i
+            worst_set = s
         if d == INFINITY:  # nothing exceeds it
             break
+    witness = None if worst_set is None else cover.sets.index(worst_set)
     return BoundednessCertificate(bound, worst, witness, worst <= bound)
 
 

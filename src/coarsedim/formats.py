@@ -161,7 +161,7 @@ def dump_metric(metric: FiniteMetricSpace) -> str:
 
 def load_metric(text: str) -> FiniteMetricSpace:
     _, n, body = _read(text, ("metric-space",), 2)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[None if i != j else Fraction(0) for j in range(n)] for i in range(n)]
     for ln in body:
         tok = ln.split()
         if len(tok) != 5 or tok[0] != "distance":
@@ -169,7 +169,12 @@ def load_metric(text: str) -> FiniteMetricSpace:
         i, j, num, den = _ints(tok[1:], ln)
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"unknown point in {ln!r}")
+        if i != j and rows[i][j] is not None:
+            raise InputError(f"second distance line for one pair: {ln!r}")
         rows[i][j] = rows[j][i] = _fraction(num, den, ln)
+    missing = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] is None]
+    if missing:
+        raise InputError(f"no distance line for the pair {missing[0]}")
     return FiniteMetricSpace(n, rows)
 
 

@@ -200,7 +200,7 @@ def comparison_backward(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
     for x in range(metric.n_points):
         for y in range(x + 1, metric.n_points):
             if metric.dist[x][y] < threshold:
-                if not any(x in s and y in s for s in cover.sets):
+                if set(cover.membership[x]).isdisjoint(cover.membership[y]):
                     raise PreconditionError(
                         f"pair ({x}, {y}) is closer than 1/delta but shares no element",
                         witness=(x, y))

@@ -5,8 +5,9 @@ source BFS, frontier star growth, shared chain-graph rows) so they can serve
 as oracles in randomized comparisons: chain graphs by merging every element
 into each of its points, chain indices by literal endpoint enumeration or path
 search, stars by scanning every element, nerves by checking every index
-subset, chain diameters by a full BFS from every point, and the shrinking
-clauses by checking each one point by point.
+subset, variation by measuring every within-element pair, chain diameters by
+a full BFS from every point, and the shrinking clauses by checking each one
+point by point.
 """
 
 from __future__ import annotations
@@ -118,6 +119,22 @@ def iterated_star_bruteforce(cover: Cover, k: int) -> Cover:
     for _ in range(k):
         sets = [star_set_bruteforce(s, cover) for s in sets]
     return Cover(tuple(sets), cover.n_points, cover.allow_empty)
+
+
+def variation_all_pairs(values, cover: Cover, distance):
+    """(value, pair) of the variation from every within-element pair x < y.
+
+    At value 0 the pair is the least within-element pair, or None if there is none.
+    """
+    best, best_pair = 0, None
+    pairs = sorted({p for s in cover.sets for p in combinations(sorted(s), 2)})
+    for x, y in pairs:
+        d = distance(values[x], values[y])
+        if d > best:
+            best, best_pair = d, (x, y)
+    if not best:
+        best_pair = pairs[0] if pairs else None
+    return best, best_pair
 
 
 def nerve_simplices_bruteforce(cover: Cover, d_cap: int) -> frozenset[frozenset[int]]:

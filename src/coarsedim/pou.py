@@ -46,10 +46,6 @@ class BarycentricPoint:
     def weight(self, v: int) -> Fraction:
         return self.weights.get(v, Fraction(0))
 
-    def key(self) -> tuple:
-        """Canonical hashable form (used to group equal values)."""
-        return tuple(sorted(self.weights.items()))
-
     def blend(self, other: "BarycentricPoint", alpha: Fraction) -> "BarycentricPoint":
         """Convex combination alpha*self + (1-alpha)*other."""
         alpha = Fraction(alpha)
@@ -71,7 +67,7 @@ class BarycentricPoint:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(tuple(sorted(self.weights.items())))
 
     def __repr__(self):
         inner = ", ".join(f"{v}: {w}" for v, w in sorted(self.weights.items()))
@@ -223,63 +219,51 @@ class VariationResult:
     pair: tuple[int, int] | None
 
 
-def _variation_scan(keys: dict[int, object], cover: Cover, distance) -> VariationResult:
+def _variation_scan(values: dict[int, object], cover: Cover, distance) -> VariationResult:
     """Max distance between value classes over within-element pairs.
 
-    ``keys`` maps each relevant point to a hashable class key; points sharing
-    a key share a value.  The witness is the lexicographically least attaining
-    pair.  Pairs with a point missing from ``keys`` are skipped.
+    Each distinct value gets an int class id, and its first value object
+    stands for the class; within an element only the least point of each
+    class takes part.  The witness is the lexicographically least attaining pair.
     """
-    cache: dict[tuple, Fraction] = {}
+    ids: dict[object, int] = {}
+    cls = {x: ids.setdefault(v, len(ids)) for x, v in values.items()}
+    reps = list(ids)
+    cache: dict[tuple[int, int], Fraction] = {}
     best = Fraction(0)
     best_pair: tuple[int, int] | None = None
     zero_pair: tuple[int, int] | None = None
     for s in cover.sets:
-        pts = sorted(p for p in s if p in keys)
-        if len(pts) < 2:
+        if len(s) < 2:
             continue
+        pts = sorted(s)
         if zero_pair is None or (pts[0], pts[1]) < zero_pair:
             zero_pair = (pts[0], pts[1])
-        reps: dict[object, int] = {}
+        first: dict[int, int] = {}
         for p in pts:
-            k = keys[p]
-            if k not in reps:
-                reps[k] = p
-        if len(reps) < 2:
-            continue
-        items = sorted(reps.items(), key=lambda kv: kv[1])
-        for i in range(len(items)):
-            ka, pa = items[i]
-            for j in range(i + 1, len(items)):
-                kb, pb = items[j]
-                ck = (ka, kb)
+            first.setdefault(cls[p], p)
+        items = list(first.items())  # ascending by point
+        for i, (ca, pa) in enumerate(items):
+            for cb, pb in items[i + 1:]:
+                ck = (ca, cb) if ca < cb else (cb, ca)
                 d = cache.get(ck)
                 if d is None:
-                    d = distance(ka, kb)
-                    cache[ck] = d
-                    cache[(kb, ka)] = d
-                pair = (pa, pb) if pa < pb else (pb, pa)
-                if d > best or (d == best and best > 0 and (best_pair is None or pair < best_pair)):
+                    d = cache[ck] = distance(reps[ca], reps[cb])
+                if d > best or (d == best and best > 0 and (pa, pb) < best_pair):
                     best = d
-                    best_pair = pair
+                    best_pair = (pa, pb)
     if best == 0:
         best_pair = zero_pair
     return VariationResult(best, best_pair)
 
 
-def variation(f: PartitionOfUnity, cover: Cover, partial: bool = False) -> VariationResult:
+def variation(f: PartitionOfUnity, cover: Cover) -> VariationResult:
     """Largest l1 displacement of f over pairs contained in one cover element."""
     if cover.n_points != f.n_points:
         raise InputError("cover is over a different point set than the assignment")
-    if not partial and not f.is_total:
+    if not f.is_total:
         raise InputError("variation needs a total assignment")
-    keys = {x: bp.key() for x, bp in f.values.items()}
-    points = {k: BarycentricPoint(dict(k)) for k in set(keys.values())}
-
-    def dist(ka, kb):
-        return l1_distance(points[ka], points[kb])
-
-    return _variation_scan(keys, cover, dist)
+    return _variation_scan(f.values, cover, l1_distance)
 
 
 def scalar_variation(values, cover: Cover) -> VariationResult:
@@ -287,8 +271,7 @@ def scalar_variation(values, cover: Cover) -> VariationResult:
     vals = [Fraction(v) for v in values]
     if len(vals) != cover.n_points:
         raise InputError("need one value per point")
-    keys = {x: vals[x] for x in range(cover.n_points)}
-    return _variation_scan(keys, cover, lambda a, b: abs(a - b))
+    return _variation_scan(dict(enumerate(vals)), cover, lambda a, b: abs(a - b))
 
 
 def quotient_variation_bound(m, n) -> Fraction:

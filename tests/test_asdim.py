@@ -164,6 +164,19 @@ def test_trim_under_singleton_cover_keeps_preimages():
     assert result.cover.sets == pu.star_preimage_cover().sets
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 10_000))
+def test_trim_removes_the_star_of_each_complement(n, seed):
+    # elements of at most two points keep the 2-fold stars short of the whole space
+    rng = random.Random(seed)
+    cover = random_cover(rng, n, max_size=2, connected=True)
+    pu = barycentric_map(cover, iterated_star(cover, 2))
+    everything = frozenset(range(n))
+    expected = tuple(s - star_set_bruteforce(everything - s, cover)
+                     for s in pu.star_preimage_cover().sets)
+    assert trim_to_cover(pu, cover).cover.sets == expected
+
+
 # --- parameter choice -----------------------------------------------------------------
 
 def test_filler_params_unit_case():

@@ -203,6 +203,11 @@ MISSING = None  # no file is written for this argument
                  "distance -1 0 1 1", id="metric-negative-index"),
     pytest.param({"metric": METRIC.replace("end\n", ""), "pu": PU},
                  "distance 0 1 1 1", id="metric-without-end"),
+    pytest.param({"metric": METRIC.replace("end\n", "distance 1 0 2 1\nend\n"), "pu": PU},
+                 "distance 1 0 2 1", id="metric-duplicate-pair"),
+    pytest.param({"metric": "metric-space\npoints 3\ndistance 0 1 1 1\ndistance 1 2 1 1\nend\n",
+                  "pu": PU.replace("points 2", "points 3").replace("end", "value 2 1 1 1\nend")},
+                 "pair (0, 2)", id="metric-missing-pair"),
     pytest.param({"space": "line2", "pu": MISSING}, "pu.txt", id="missing-pu"),
     pytest.param({"space": MISSING, "pu": PU}, "space.txt", id="missing-space"),
     pytest.param({"metric": MISSING, "pu": PU}, "metric.txt", id="missing-metric"),

@@ -43,6 +43,16 @@ def line_cover(n):
     return Cover.of([{i, i + 1} for i in range(n - 1)], n)
 
 
+def varied_cover(rng, n, empties, duplicates):
+    """A random cover, with three repeated elements and an empty one when asked."""
+    sets = list(random_cover(rng, n).sets)
+    if duplicates:
+        sets += [rng.choice(sets) for _ in range(3)]
+    if empties:
+        sets.insert(rng.randrange(len(sets) + 1), frozenset())
+    return Cover(tuple(sets), n, allow_empty=empties)
+
+
 # --- Cover basics -----------------------------------------------------------
 
 def test_cover_rejects_empty_element():
@@ -125,6 +135,13 @@ def test_star_set_matches_bruteforce():
         cover = random_cover(rng, n)
         pts = frozenset(x for x in range(n) if rng.random() < 0.4)
         assert star_set(pts, cover) == star_set_bruteforce(pts, cover)
+    # empty and repeated elements
+    rng = random.Random(8)
+    for _ in range(50):
+        n = rng.randrange(1, 10)
+        cover = varied_cover(rng, n, rng.random() < 0.5, rng.random() < 0.5)
+        pts = frozenset(x for x in range(n) if rng.random() < 0.4)
+        assert star_set(pts, cover) == star_set_bruteforce(pts, cover)
 
 
 def test_star_set_contains_input_and_is_monotone():
@@ -186,6 +203,13 @@ def test_iterated_star_matches_bruteforce():
         cover = random_cover(rng, n)
         k = rng.randrange(0, 4)
         assert iterated_star(cover, k) == iterated_star_bruteforce(cover, k)
+    # empty and repeated elements, and k past the fixpoint (radius n - 1 fills a component)
+    rng = random.Random(4)
+    for _ in range(30):
+        n = rng.randrange(1, 9)
+        cover = varied_cover(rng, n, rng.random() < 0.5, rng.random() < 0.5)
+        for k in (1, 2, n, n + 3):
+            assert iterated_star(cover, k) == iterated_star_bruteforce(cover, k)
 
 
 def test_iterated_star_is_one_more_star_each_level():
@@ -227,13 +251,7 @@ def test_chain_graph_triple_element_gives_triangle():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 14), st.integers(0, 10_000), st.booleans(), st.booleans())
 def test_chain_graph_matches_per_element_reference(n, seed, empties, duplicates):
-    rng = random.Random(seed)
-    sets = list(random_cover(rng, n).sets)
-    if duplicates:
-        sets += [rng.choice(sets) for _ in range(3)]
-    if empties:
-        sets.insert(rng.randrange(len(sets) + 1), frozenset())
-    cover = Cover(tuple(sets), n, allow_empty=empties)
+    cover = varied_cover(random.Random(seed), n, empties, duplicates)
     assert chain_graph(cover).neighbors == chain_graph_by_elements(cover).neighbors
 
 
@@ -380,6 +398,18 @@ def test_chain_diameter_matches_all_pairs_oracle(n, seed, connected, cycle):
     bound = rng.randrange(0, n + 1)
     cert = is_uniformly_bounded(cover, space, bound)
     assert (cert.max_diameter, cert.witness, cert.ok) == bounded_by_oracle(cover, space, bound)
+
+
+def test_uniformly_bounded_measures_each_distinct_set_once(monkeypatch):
+    calls = []
+    measure = FiniteCoarseSpace.set_diameter
+    monkeypatch.setattr(FiniteCoarseSpace, "set_diameter",
+                        lambda self, pts: calls.append(frozenset(pts)) or measure(self, pts))
+    space = gen_line(10).space
+    short, long_ = frozenset(range(3)), frozenset(range(2, 10))
+    cert = is_uniformly_bounded(Cover((short, long_, short, long_, short), 10), space, 5)
+    assert (cert.max_diameter, cert.witness, cert.ok) == (7, 1, False)
+    assert calls == [frozenset(), short, long_]
 
 
 def test_uniformly_bounded_gauge_passes():

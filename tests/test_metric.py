@@ -165,6 +165,15 @@ def test_backward_comparison_checks_cover_geometry():
         comparison_backward(f, metric, F(1, 2), 99, cover=toolarge)
 
 
+def test_backward_comparison_names_first_close_pair_without_common_element():
+    # threshold 1/delta = 2: (1, 2) and (3, 4) are at distance 1 and share no element
+    metric = FiniteMetricSpace.line(6)
+    blocks = Cover.of([[0, 1], [2, 3], [4, 5]], 6)
+    with pytest.raises(PreconditionError) as err:
+        comparison_backward(constant_map(6), metric, F(1, 2), 99, cover=blocks)
+    assert err.value.witness == (1, 2)
+
+
 def test_far_pairs_satisfy_doubled_bound_exactly():
     # at distance >= 1/delta the displacement never exceeds 2 <= 2*delta*d + 2*delta
     metric, f = fine_scale_map()

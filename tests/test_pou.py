@@ -24,7 +24,7 @@ from coarsedim import (
     variation,
 )
 from coarsedim.generators import random_cover, random_fraction, random_refinement_pair
-from coarsedim.oracles import nerve_simplices_bruteforce
+from coarsedim.oracles import nerve_simplices_bruteforce, variation_all_pairs
 
 F = Fraction
 
@@ -233,13 +233,32 @@ def test_scalar_variation_matches_pair_scan():
         cover = random_cover(rng, n)
         vals = [random_fraction(rng, 0, 3) for _ in range(n)]
         res = scalar_variation(vals, cover)
-        expected = F(0)
-        for s in cover.sets:
-            pts = sorted(s)
-            for i, a in enumerate(pts):
-                for b in pts[i + 1:]:
-                    expected = max(expected, abs(vals[a] - vals[b]))
-        assert res.value == expected
+        expected = variation_all_pairs(vals, cover, lambda a, b: abs(a - b))
+        assert (res.value, res.pair) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10_000), st.booleans(), st.booleans(),
+       st.booleans())
+def test_variation_matches_all_pairs_oracle(n, seed, empties, duplicates, singletons):
+    # barycentric maps of coarse covers repeat each value over many points
+    rng = random.Random(seed)
+    fine, coarse = random_refinement_pair(rng, n)
+    f = barycentric_map(fine, coarse)
+    if singletons:
+        sets = [frozenset((x,)) for x in range(n)]
+    else:
+        sets = list(random_cover(rng, n).sets)
+    if duplicates:
+        sets += [rng.choice(sets) for _ in range(3)]
+    if empties:
+        sets.insert(rng.randrange(len(sets) + 1), frozenset())
+    cover = Cover(tuple(sets), n, allow_empty=empties)
+    res = variation(f, cover)
+    assert (res.value, res.pair) == variation_all_pairs(f.values, cover, l1_distance)
+    vals = [f.value(x).weight(0) for x in range(n)]
+    res = scalar_variation(vals, cover)
+    assert (res.value, res.pair) == variation_all_pairs(vals, cover, lambda a, b: abs(a - b))
 
 
 # --- quotient bound ---------------------------------------------------------------
