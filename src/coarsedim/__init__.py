@@ -28,11 +28,14 @@ from .covers import (
     chain_diameter,
     chain_graph,
     chain_index,
+    chain_indices,
+    interior,
     is_refinement,
     is_uniformly_bounded,
     iterated_star,
     shrink_with_multiplicity,
     star_cover,
+    star_misfit,
     star_set,
 )
 from .errors import ConstructionError, InputError, PreconditionError

@@ -16,15 +16,18 @@ from fractions import Fraction
 from .covers import (
     Cover,
     FiniteCoarseSpace,
+    chain_indices,
     diameter_in_graph,
+    interior,
     is_refinement,
     iterated_star,
     shrink_with_multiplicity,
     star_cover,
+    star_misfit,
     star_set,
 )
 from .errors import ConstructionError, InputError, PreconditionError
-from .extnat import INFINITY, ExtNat
+from .extnat import ExtNat
 from .pou import (
     BarycentricPoint,
     PartitionOfUnity,
@@ -211,15 +214,13 @@ def trim_to_cover(f: PartitionOfUnity, cover: Cover, n: int | None = None) -> Tr
             f"carrier at point {worst} has {len(f.values[worst].carrier)} vertices "
             f"(allowed {n + 1})", witness=worst)
     preimages = f.star_preimage_cover()
-    twice = iterated_star(cover, 2)
-    ref = is_refinement(twice, preimages)
-    if not ref.ok:
+    bad = star_misfit(cover, 2, preimages)
+    if bad is not None:
         raise PreconditionError(
-            f"2-fold star element {ref.counterexample} fits in no star preimage",
-            witness=twice.sets[ref.counterexample])
+            f"2-fold star element {bad} fits in no star preimage",
+            witness=star_set(star_set(cover.sets[bad], cover), cover))
 
-    all_points = frozenset(range(cover.n_points))
-    result = Cover(tuple(s - star_set(all_points - s, cover) for s in preimages.sets),
+    result = Cover(tuple(interior(cover, s, 1) for s in preimages.sets),
                    cover.n_points, allow_empty=True)
 
     back = is_refinement(cover, result)
@@ -347,12 +348,10 @@ def blend_alpha(subset, m: int, cover: Cover) -> BlendFunction:
         raise InputError("star depth m must be at least 1")
     for a in region:
         cover._check_point(a)
-    graph = cover.chain
-    q_raw = graph.distances_from(region)
+    q_raw = cover.chain.distances_from(region)
     # the m-fold star of the subset is its chain ball of radius m
     star_m = frozenset(x for x in range(n) if q_raw[x] is not None and q_raw[x] <= m)
-    outside_star = [x for x in range(n) if x not in star_m]
-    p_raw = graph.distances_from(outside_star) if outside_star else [None] * n
+    p_raw = chain_indices(cover, star_m)
 
     values: list[Fraction] = []
     for p, q in zip(p_raw, q_raw):
@@ -364,8 +363,8 @@ def blend_alpha(subset, m: int, cover: Cover) -> BlendFunction:
             values.append(Fraction(p, p + q) if p + q else Fraction(0))
     return BlendFunction(
         values=tuple(values),
-        star_index=tuple(ExtNat(p) if p is not None else INFINITY for p in p_raw),
-        complement_index=tuple(ExtNat(q) if q is not None else INFINITY for q in q_raw),
+        star_index=tuple(map(ExtNat, p_raw)),
+        complement_index=tuple(map(ExtNat, q_raw)),
         star_region=star_m,
         m=m,
     )
@@ -501,11 +500,10 @@ def filler(space: FiniteCoarseSpace, f: PartitionOfUnity, subset, cover: Cover,
         raise PreconditionError(
             "input map does not certify against the coarse cover at delta",
             witness=input_cert)
-    ref = is_refinement(iterated_star(cover, k), coarse)
-    if not ref.ok:
+    bad = star_misfit(cover, k, coarse)
+    if bad is not None:
         raise PreconditionError(
-            f"k-fold star element {ref.counterexample} fits in no coarse element",
-            witness=ref.counterexample)
+            f"k-fold star element {bad} fits in no coarse element", witness=bad)
     mult = coarse.max_multiplicity()
     if mult > n + 1:
         raise PreconditionError(f"coarse cover has multiplicity {mult} > {n + 1}")

@@ -25,7 +25,7 @@ from .asdim import (
     shrink_with_multiplicity,
     trim_to_cover,
 )
-from .covers import Cover, FiniteCoarseSpace, chain_index, is_refinement, iterated_star
+from .covers import Cover, FiniteCoarseSpace, chain_index, iterated_star, star_misfit
 from .errors import ConstructionError, InputError, PreconditionError
 from .generators import (
     GridInstance,
@@ -266,6 +266,8 @@ def _cmd_filler(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.mode != "asdim-witness" and args.max_points < 2:
+        raise InputError(f"--max-points {args.max_points} is below 2")
     if args.mode == "chain-index":
         rng = random.Random(args.seed)
         mismatches = 0
@@ -312,11 +314,14 @@ def _cmd_oracle(args) -> int:
 
 
 def _parse_k_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    k = int(text)
-    return range(k, k + 1)
+    lo, dots, hi = text.partition("..")
+    try:
+        ks = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise InputError(f"--k {text!r} is neither an integer nor a range like 1..64") from None
+    if not ks or ks[0] < 1:
+        raise InputError(f"--k {text!r} must name scales k >= 1, low end first")
+    return ks
 
 
 def _cmd_sweep(args) -> int:
@@ -330,7 +335,7 @@ def _cmd_sweep(args) -> int:
     bounded = True
     for k in _parse_k_range(args.k):
         cover = ctx.line.staggered(2 * k + 1).normalize()
-        if not is_refinement(iterated_star(gauge, k), cover).ok:
+        if star_misfit(gauge, k, cover) is not None:
             raise ConstructionError(f"staggered witness at k={k} is not coarse enough")
         pu = barycentric_map(gauge, cover)
         var = variation(pu, gauge)

@@ -264,16 +264,43 @@ def iterated_star(cover: Cover, k: int) -> Cover:
                  cover.n_points, cover.allow_empty)
 
 
-def chain_index(cover: Cover, x: int, region: Iterable[int]) -> ExtNat:
-    """Length of the shortest chain from x to a point outside ``region``.
-
-    Zero when x is already outside; infinite when the complement is
-    unreachable in the chain graph of ``cover``.
-    """
-    cover._check_point(x)
+def chain_indices(cover: Cover, region: Iterable[int]) -> list[int | None]:
+    """Per point, the shortest chain length to a point outside ``region``; None if unreachable."""
     inside = frozenset(region)
-    d = cover.chain.distances_from(y for y in range(cover.n_points) if y not in inside)[x]
-    return INFINITY if d is None else ExtNat(d)
+    for x in inside:
+        cover._check_point(x)
+    return cover.chain.distances_from(y for y in range(cover.n_points) if y not in inside)
+
+
+def chain_index(cover: Cover, x: int, region: Iterable[int]) -> ExtNat:
+    """The chain index of x in ``region`` as an ExtNat; ``ExtNat(None)`` is infinity."""
+    cover._check_point(x)
+    return ExtNat(chain_indices(cover, region)[x])
+
+
+def interior(cover: Cover, region: Iterable[int], k: int) -> frozenset[int]:
+    """The points of ``region`` whose k-fold star stays inside it: chain index above k."""
+    if k < 0:
+        raise InputError("star iteration count must be nonnegative")
+    inside = frozenset(region)
+    index = chain_indices(cover, inside)
+    return frozenset(x for x in inside if index[x] is None or index[x] > k)
+
+
+def star_misfit(cover: Cover, k: int, coarse: Cover) -> int | None:
+    """The least index whose k-fold star fits in no element of ``coarse``, or None.
+
+    This is the counterexample of ``is_refinement(iterated_star(cover, k), coarse)``
+    without building a star: the k-fold star of an element fits in a coarse
+    element exactly when the element lies in that element's k-interior.
+    """
+    if cover.n_points != coarse.n_points:
+        raise InputError("covers are over different point sets")
+    inner = [interior(cover, s, k) for s in coarse.sets]
+    for t, s in enumerate(cover.sets):
+        if s and not any(s <= inner[j] for j in coarse.membership[min(s)]):
+            return t
+    return None
 
 
 def chain_diameter(points: Iterable[int], cover: Cover) -> ExtNat:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 
 
+@total_ordering
 @dataclass(frozen=True, eq=False)
 class ExtNat:
     """A value in {0, 1, 2, ...} plus infinity.  ``None`` encodes infinity.
@@ -24,12 +26,10 @@ class ExtNat:
         return self.value is not None
 
     def __eq__(self, other):
-        if isinstance(other, bool):
-            return NotImplemented
-        if isinstance(other, int):
-            return self.value == other
         if isinstance(other, ExtNat):
             return self.value == other.value
+        if isinstance(other, int) and not isinstance(other, bool):
+            return self.value == other
         return NotImplemented
 
     def __hash__(self):
@@ -44,24 +44,6 @@ class ExtNat:
         if not other.is_finite:
             return True
         return self.value < other.value
-
-    def __le__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self < other or self == other
-
-    def __gt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other < self
-
-    def __ge__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other <= self
 
     def __add__(self, other):
         other = _coerce(other)

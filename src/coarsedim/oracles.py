@@ -65,7 +65,7 @@ def chain_index_by_paths(cover: Cover, x: int, region) -> ExtNat:
                 walk(y, length + 1, visited | {y})
 
     walk(x, 0, frozenset((x,)))
-    return ExtNat(best[0]) if best[0] is not None else INFINITY
+    return ExtNat(best[0])
 
 
 def chain_diameter_all_pairs(points, graph: ChainGraph) -> ExtNat:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covers import BoundednessCertificate, Cover, is_uniformly_bounded
+from .covers import BoundednessCertificate, Cover, chain_indices, is_uniformly_bounded
 from .errors import ConstructionError, InputError
 
 
@@ -184,10 +184,6 @@ class PartitionOfUnity:
     def is_total(self) -> bool:
         return len(self.values) == self.n_points
 
-    @property
-    def domain(self) -> tuple[int, ...]:
-        return tuple(sorted(self.values))
-
     def value(self, x: int) -> BarycentricPoint:
         try:
             return self.values[x]
@@ -229,9 +225,7 @@ def _variation_scan(values: dict[int, object], cover: Cover, distance) -> Variat
     ids: dict[object, int] = {}
     cls = {x: ids.setdefault(v, len(ids)) for x, v in values.items()}
     reps = list(ids)
-    cache: dict[tuple[int, int], Fraction] = {}
-    best = Fraction(0)
-    best_pair: tuple[int, int] | None = None
+    least: dict[tuple[int, int], tuple[int, int]] = {}  # class pair -> least point pair
     zero_pair: tuple[int, int] | None = None
     for s in cover.sets:
         if len(s) < 2:
@@ -246,12 +240,16 @@ def _variation_scan(values: dict[int, object], cover: Cover, distance) -> Variat
         for i, (ca, pa) in enumerate(items):
             for cb, pb in items[i + 1:]:
                 ck = (ca, cb) if ca < cb else (cb, ca)
-                d = cache.get(ck)
-                if d is None:
-                    d = cache[ck] = distance(reps[ca], reps[cb])
-                if d > best or (d == best and best > 0 and (pa, pb) < best_pair):
-                    best = d
-                    best_pair = (pa, pb)
+                pair = least.get(ck)
+                if pair is None or (pa, pb) < pair:
+                    least[ck] = (pa, pb)
+    best = Fraction(0)
+    best_pair: tuple[int, int] | None = None
+    for (ca, cb), pair in least.items():  # each class pair measured once, in scan order
+        d = distance(reps[ca], reps[cb])
+        if d > best or (d == best and best > 0 and pair < best_pair):
+            best = d
+            best_pair = pair
     if best == 0:
         best_pair = zero_pair
     return VariationResult(best, best_pair)
@@ -294,37 +292,23 @@ def barycentric_map(chain_cover: Cover, target_cover: Cover, d_cap: int | None =
     if chain_cover.n_points != target_cover.n_points:
         raise InputError("covers are over different point sets")
     n = chain_cover.n_points
-    graph = chain_cover.chain
-    all_points = range(n)
-    index_of_element: list[list[int | None]] = []
-    for s in target_cover.sets:
-        complement = [x for x in all_points if x not in s]
-        # distance to the complement is exactly the chain index in s
-        index_of_element.append(graph.distances_from(complement) if complement
-                                else [None] * n)
+    index_of_element = [chain_indices(chain_cover, s) for s in target_cover.sets]
     values: dict[int, BarycentricPoint] = {}
-    n_elems = len(target_cover.sets)
-    for x in all_points:
-        infinite = [s for s in range(n_elems) if index_of_element[s][x] is None]
+    for x in range(n):
+        # outside an element the chain index is 0, so only x's own elements count
+        ixs = {s: index_of_element[s][x] for s in target_cover.membership[x]}
+        infinite = [s for s, ix in ixs.items() if ix is None]
         if infinite:
-            share = Fraction(1, len(infinite))
-            values[x] = BarycentricPoint({s: share for s in infinite})
-        else:
-            total = 0
-            for s in target_cover.membership[x]:
-                total += index_of_element[s][x]
-            if total <= 0:
-                raise ConstructionError(f"point {x} has zero total index against a covering family")
-            weights = {}
-            for s in target_cover.membership[x]:
-                ix = index_of_element[s][x]
-                if ix:
-                    weights[s] = Fraction(ix, total)
-            values[x] = BarycentricPoint(weights)
+            values[x] = BarycentricPoint(dict.fromkeys(infinite, Fraction(1, len(infinite))))
+            continue
+        total = sum(ixs.values())
+        if total <= 0:
+            raise ConstructionError(f"point {x} has zero total index against a covering family")
+        values[x] = BarycentricPoint({s: Fraction(ix, total) for s, ix in ixs.items() if ix})
     if d_cap is None:
         d_cap = max(target_cover.max_multiplicity(), 1) - 1
     complex_ = nerve(target_cover, d_cap)
-    return PartitionOfUnity(values, n, tuple(range(n_elems)), complex_)
+    return PartitionOfUnity(values, n, tuple(range(len(target_cover.sets))), complex_)
 
 
 def coarsening_witnesses(f: PartitionOfUnity, cover: Cover):

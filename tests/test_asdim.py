@@ -25,6 +25,7 @@ from coarsedim import (
     find_witness_bruteforce,
     gen_grid2d,
     gen_line,
+    is_refinement,
     iterated_star,
     l1_distance,
     scalar_variation,
@@ -175,6 +176,16 @@ def test_trim_removes_the_star_of_each_complement(n, seed):
     expected = tuple(s - star_set_bruteforce(everything - s, cover)
                      for s in pu.star_preimage_cover().sets)
     assert trim_to_cover(pu, cover).cover.sets == expected
+
+
+def test_trim_gate_witness_is_the_2_fold_star_that_fits_nowhere():
+    gauge = gen_line(30).space.gauge
+    pu = barycentric_map(gauge, gen_line(30).blocks(4))
+    twice = iterated_star(gauge, 2)
+    bad = is_refinement(twice, pu.star_preimage_cover()).counterexample
+    with pytest.raises(PreconditionError, match=f"element {bad} fits") as info:
+        trim_to_cover(pu, gauge, 1)
+    assert info.value.witness == twice.sets[bad]
 
 
 # --- parameter choice -----------------------------------------------------------------
@@ -361,6 +372,18 @@ def test_filler_gates_on_input_certificate():
     fast = barycentric_map(space.gauge, line.staggered(5))
     with pytest.raises(PreconditionError):
         filler(space, fast, range(200), space.gauge, coarse, params, 599)
+
+
+def test_filler_gate_witness_is_the_least_k_fold_star_that_fits_nowhere():
+    line, space, params, coarse, base = _line_filler_instance(600, 1, 1)
+    # element t's star is t-257..t+258: inside range(400) up to t = 141, in range(100, 600) from 357
+    narrow = Cover.of([range(400), range(100, 600)], 600)
+    const = PartitionOfUnity({x: BarycentricPoint.vertex(0) for x in range(600)}, 600, (0, 1))
+    bad = is_refinement(iterated_star(space.gauge, params.k), narrow).counterexample
+    assert bad == 142
+    with pytest.raises(PreconditionError, match=f"element {bad} fits") as info:
+        filler(space, const, range(200), space.gauge, narrow, params, 599)
+    assert info.value.witness == bad
 
 
 @settings(max_examples=80, deadline=None)

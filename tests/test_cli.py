@@ -237,3 +237,23 @@ def test_malformed_fraction_argument_exits_two(capsys):
                         "--eps", "1/0", "--a-end", "5", "--diam", "19")
     assert code == 2
     assert doc["error"] == "InputError" and "1/0" in doc["detail"]
+
+
+@pytest.mark.parametrize("argv, quote", [
+    pytest.param(["sweep", "--space", "line40", "--k", "0..2"], "'0..2'", id="sweep-k-zero"),
+    pytest.param(["sweep", "--space", "line40", "--k", "abc"], "'abc'", id="sweep-k-not-a-number"),
+    pytest.param(["sweep", "--space", "line40", "--k", "5..2"], "'5..2'", id="sweep-k-reversed"),
+    pytest.param(["sweep", "--space", "line40", "--k", "1.."], "'1..'", id="sweep-k-open-range"),
+    pytest.param(["oracle", "chain-index", "--instances", "3", "--max-points", "1"],
+                 "--max-points 1", id="oracle-chain-index-one-point"),
+    pytest.param(["oracle", "shrink", "--instances", "3", "--max-points", "1"],
+                 "--max-points 1", id="oracle-shrink-one-point"),
+])
+def test_bad_argument_exits_two_quoting_it(capsys, argv, quote):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    doc = doc_loads(captured.out)
+    assert doc["error"] == "InputError"
+    assert quote in doc["detail"]
+    assert "Traceback" not in captured.err

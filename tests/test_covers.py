@@ -16,13 +16,16 @@ from coarsedim import (
     chain_diameter,
     chain_graph,
     chain_index,
+    chain_indices,
     gen_grid2d,
     gen_line,
+    interior,
     is_refinement,
     is_uniformly_bounded,
     iterated_star,
     shrink_with_multiplicity,
     star_cover,
+    star_misfit,
     star_set,
 )
 from coarsedim import covers
@@ -308,6 +311,67 @@ def test_chain_index_is_lipschitz_along_edges(n, seed):
                 assert abs(a.value - b.value) <= 1
             else:
                 assert not a.is_finite and not b.is_finite
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 10_000))
+def test_chain_indices_match_enumeration_oracle(n, seed):
+    rng = random.Random(seed)
+    cover = varied_cover(rng, n, rng.random() < 0.3, rng.random() < 0.3)
+    region = frozenset(x for x in range(n) if rng.random() < 0.6)
+    got = chain_indices(cover, region)
+    assert [ExtNat(d) for d in got] == [chain_index_by_enumeration(cover, x, region)
+                                        for x in range(n)]
+
+
+def test_chain_indices_reject_unknown_points():
+    gauge = gen_line(5).space.gauge
+    for region in ({0, 99}, {0, -3}, {0, 5}, {0, "1"}):
+        with pytest.raises(InputError):
+            chain_index(gauge, 0, region)
+        with pytest.raises(InputError):
+            chain_indices(gauge, region)
+        with pytest.raises(InputError):
+            interior(gauge, region, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 10_000), st.data())
+def test_interior_matches_starred_complement(n, seed, data):
+    rng = random.Random(seed)
+    cover = varied_cover(rng, n, rng.random() < 0.3, rng.random() < 0.3)
+    region = frozenset(x for x in range(n) if rng.random() < 0.7)
+    k = data.draw(st.integers(0, n + 1))
+    outside = frozenset(range(n)) - region
+    for _ in range(k):
+        outside = star_set_bruteforce(outside, cover)
+    assert interior(cover, region, k) == region - outside
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 10_000), st.booleans(), st.booleans(),
+       st.booleans(), st.data())
+def test_star_misfit_matches_materialised_stars(n, seed, empties, duplicates, connected, data):
+    rng = random.Random(seed)
+    cover = varied_cover(rng, n, empties, duplicates)
+    if connected:
+        cover = Cover(cover.sets + random_cover(rng, n, connected=True).sets, n, empties)
+    coarse = varied_cover(rng, n, rng.random() < 0.3, rng.random() < 0.3)
+    k = data.draw(st.integers(0, n + 1))
+    want = is_refinement(iterated_star(cover, k), coarse).counterexample
+    assert star_misfit(cover, k, coarse) == want
+
+
+def test_star_misfit_on_line_names_the_least_failing_element():
+    u = line_cover(10)
+    halves = Cover.of([range(7), range(3, 10)], 10)
+    assert star_misfit(u, 1, halves) is None
+    assert star_misfit(u, 2, halves) == 4  # {4, 5} grows to 2..7, in neither half
+    assert is_refinement(iterated_star(u, 2), halves).counterexample == 4
+    with pytest.raises(InputError):
+        star_misfit(u, -1, halves)
+    with pytest.raises(InputError):
+        star_misfit(u, 1, line_cover(9))
 
 
 # --- diameters and boundedness -------------------------------------------------

@@ -23,6 +23,7 @@ from coarsedim import (
     scalar_variation,
     variation,
 )
+from coarsedim import pou
 from coarsedim.generators import random_cover, random_fraction, random_refinement_pair
 from coarsedim.oracles import nerve_simplices_bruteforce, variation_all_pairs
 
@@ -259,6 +260,24 @@ def test_variation_matches_all_pairs_oracle(n, seed, empties, duplicates, single
     vals = [f.value(x).weight(0) for x in range(n)]
     res = scalar_variation(vals, cover)
     assert (res.value, res.pair) == variation_all_pairs(vals, cover, lambda a, b: abs(a - b))
+
+
+def test_variation_takes_least_pair_even_when_a_later_element_holds_it():
+    # the class pair {0, 1} is first met as (2, 3); its least pair (0, 1) comes last
+    cover = Cover.of([[2, 3], [4, 5], [0, 1]], 6)
+    res = scalar_variation([0, 1, 0, 1, 0, F(1, 2)], cover)
+    assert (res.value, res.pair) == (1, (0, 1))
+
+
+def test_variation_measures_each_class_pair_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pou, "l1_distance", lambda a, b: calls.append((a, b)) or l1_distance(a, b))
+    line = gen_line(40)
+    f = barycentric_map(line.space.gauge, line.staggered(5))
+    cover = iterated_star(line.space.gauge, 3)
+    res = variation(f, cover)
+    assert len({frozenset(pair) for pair in calls}) == len(calls) > 0
+    assert (res.value, res.pair) == variation_all_pairs(f.values, cover, l1_distance)
 
 
 # --- quotient bound ---------------------------------------------------------------
