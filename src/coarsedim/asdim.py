@@ -214,14 +214,22 @@ def trim_to_cover(f: PartitionOfUnity, cover: Cover, n: int | None = None) -> Tr
             f"carrier at point {worst} has {len(f.values[worst].carrier)} vertices "
             f"(allowed {n + 1})", witness=worst)
     preimages = f.star_preimage_cover()
-    bad = star_misfit(cover, 2, preimages)
+    inner, rims = [], []
+    for s in preimages.sets:  # one BFS per preimage serves the gate and the trim
+        index = chain_indices(cover, s)
+        inner.append(interior(cover, s, 2, index))
+        rims.append(frozenset(x for x in s if index[x] == 2))
+    bad = star_misfit(cover, 2, preimages, inner)
     if bad is not None:
         raise PreconditionError(
             f"2-fold star element {bad} fits in no star preimage",
             witness=star_set(star_set(cover.sets[bad], cover), cover))
 
-    result = Cover(tuple(interior(cover, s, 1) for s in preimages.sets),
-                   cover.n_points, allow_empty=True)
+    # the 1-interior is the 2-interior plus the rim of index 2; each element is
+    # replaced in place so that only one extra set is alive at a time
+    for j, rim in enumerate(rims):
+        inner[j] |= rim
+    result = Cover(tuple(inner), cover.n_points, allow_empty=True)
 
     back = is_refinement(cover, result)
     if not back.ok:
@@ -427,19 +435,19 @@ def skeletal_retract(f: PartitionOfUnity, subset, m: int, cover: Cover,
             raise PreconditionError(
                 f"carriers at point {x} and its anchor {c} are disjoint", witness=x)
         fc = f.value(c)
-        target = sorted(common, key=lambda v: (-fc.weights[v], v))[0]
-        moved = Fraction(0)
+        target = min(common, key=lambda v: (-fc.num[v], v))
+        moved = 0  # numerator over fx.den
         kept = {}
-        for v, w in fx.weights.items():
+        for v, w in fx.num.items():
             if v in fc_carrier:
                 kept[v] = w
             else:
                 moved += w
-        kept[target] = kept.get(target, Fraction(0)) + moved
-        gx = BarycentricPoint(kept)
+        kept[target] = kept.get(target, 0) + moved
+        gx = BarycentricPoint._from_ints(kept, fx.den)
         values[x] = gx
         shift = l1_distance(gx, fx)
-        if shift != 2 * moved:
+        if shift != Fraction(2 * moved, fx.den):
             raise ConstructionError("retract moved a different mass than it removed")
         if shift > max_shift:
             max_shift = shift
@@ -518,8 +526,8 @@ def filler(space: FiniteCoarseSpace, f: PartitionOfUnity, subset, cover: Cover,
     relabeled: dict[int, BarycentricPoint] = {}
     for x in range(space.n_points):
         bp = nerve_map.values[x]
-        weights = {f.vertices[s]: w for s, w in bp.weights.items()}
-        relabeled[x] = BarycentricPoint(weights)
+        relabeled[x] = BarycentricPoint._from_ints(
+            {f.vertices[s]: w for s, w in bp.num.items()}, bp.den)
         if not relabeled[x].carrier <= f.value(x).carrier:
             raise ConstructionError(
                 f"nerve map carrier at point {x} escapes the input carrier")
@@ -546,7 +554,7 @@ def filler(space: FiniteCoarseSpace, f: PartitionOfUnity, subset, cover: Cover,
         gap = l1_distance(blended.values[x], retract.pu.values[x])
         if gap > deviation:
             deviation = gap
-    peaks = [max(bp.weights.values()) for bp in values.values()]
+    peaks = [Fraction(max(bp.num.values()), bp.den) for bp in values.values()]
     return FillerResult(
         pu=blended,
         certificate=cert,

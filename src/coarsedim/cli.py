@@ -69,20 +69,24 @@ def _load_cover_arg(arg: str, ctx: SpaceContext) -> Cover:
     if arg == "gauge":
         return ctx.space.gauge
     head, _, tail = arg.partition(":")
-    if head == "st" and tail:
-        return iterated_star(ctx.space.gauge, int(tail))
-    if head == "staggered" and tail:
-        if ctx.line is None:
-            raise InputError("staggered covers need a line space")
-        return ctx.line.staggered(int(tail))
-    if head == "blocks" and tail:
-        if ctx.line is None:
-            raise InputError("block covers need a line space")
-        return ctx.line.blocks(int(tail))
-    if head == "bricks" and tail:
+    if head in ("st", "staggered", "blocks", "bricks") and tail:
+        try:
+            size = int(tail)
+        except ValueError:
+            raise InputError(f"cover {arg!r} needs an integer after {head + ':'!r}") from None
+        if head == "st":
+            return iterated_star(ctx.space.gauge, size)
+        if head == "staggered":
+            if ctx.line is None:
+                raise InputError("staggered covers need a line space")
+            return ctx.line.staggered(size)
+        if head == "blocks":
+            if ctx.line is None:
+                raise InputError("block covers need a line space")
+            return ctx.line.blocks(size)
         if ctx.grid is None:
             raise InputError("brick covers need a grid space")
-        return ctx.grid.bricks(int(tail))
+        return ctx.grid.bricks(size)
     path = Path(arg)
     if not path.exists():
         raise InputError(f"cover {arg!r} is neither a shorthand nor a file")

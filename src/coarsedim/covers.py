@@ -278,25 +278,34 @@ def chain_index(cover: Cover, x: int, region: Iterable[int]) -> ExtNat:
     return ExtNat(chain_indices(cover, region)[x])
 
 
-def interior(cover: Cover, region: Iterable[int], k: int) -> frozenset[int]:
-    """The points of ``region`` whose k-fold star stays inside it: chain index above k."""
+def interior(cover: Cover, region: Iterable[int], k: int,
+             index: list[int | None] | None = None) -> frozenset[int]:
+    """The points of ``region`` whose k-fold star stays inside it: chain index above k.
+
+    ``index`` may pass in ``chain_indices(cover, region)`` when the caller has it.
+    """
     if k < 0:
         raise InputError("star iteration count must be nonnegative")
     inside = frozenset(region)
-    index = chain_indices(cover, inside)
+    if index is None:
+        index = chain_indices(cover, inside)
     return frozenset(x for x in inside if index[x] is None or index[x] > k)
 
 
-def star_misfit(cover: Cover, k: int, coarse: Cover) -> int | None:
+def star_misfit(cover: Cover, k: int, coarse: Cover,
+                inner: list[frozenset[int]] | None = None) -> int | None:
     """The least index whose k-fold star fits in no element of ``coarse``, or None.
 
     This is the counterexample of ``is_refinement(iterated_star(cover, k), coarse)``
     without building a star: the k-fold star of an element fits in a coarse
     element exactly when the element lies in that element's k-interior.
+    ``inner`` may pass in those k-interiors, in coarse order, when the caller
+    has them.
     """
     if cover.n_points != coarse.n_points:
         raise InputError("covers are over different point sets")
-    inner = [interior(cover, s, k) for s in coarse.sets]
+    if inner is None:
+        inner = [interior(cover, s, k) for s in coarse.sets]
     for t, s in enumerate(cover.sets):
         if s and not any(s <= inner[j] for j in coarse.membership[min(s)]):
             return t

@@ -118,29 +118,33 @@ def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
         raise InputError("delta must be positive")
     if not f.is_total or f.n_points != metric.n_points:
         raise InputError("the assignment must be total over the metric space")
+    # margin = gap - (delta*d + delta), kept as ints (num, den) with den > 0;
+    # for delta = p/q, gap = g/h and d = e/c it is (g*q*c - p*(e + c)*h) / (h*q*c)
+    p, q = delta.numerator, delta.denominator
     lip_ok = True
     lip_pair = None
-    lip_value = Fraction(0)
-    lip_allow = delta
-    worst_margin = None
+    lip_value = lip_d = Fraction(0)
+    worst_num, worst_den = 0, 0
     leb_ok = True
     leb_pair = None
-    threshold = 1 / delta
     for x in range(metric.n_points):
         fx = f.values[x]
+        row = metric.dist[x]
         for y in range(x + 1, metric.n_points):
-            d = metric.dist[x][y]
+            d = row[y]
+            e, c = d.numerator, d.denominator
             gap = l1_distance(fx, f.values[y])
-            allowance = delta * d + delta
-            margin = gap - allowance
-            if worst_margin is None or margin > worst_margin:
-                worst_margin = margin
+            h = gap.denominator
+            num = gap.numerator * q * c - p * (e + c) * h
+            den = h * q * c
+            if lip_pair is None or num * worst_den > worst_num * den:
+                worst_num, worst_den = num, den
                 lip_pair = (x, y)
                 lip_value = gap
-                lip_allow = allowance
-            if gap > allowance:
+                lip_d = d
+            if num > 0:
                 lip_ok = False
-            if d < threshold and leb_ok:
+            if leb_ok and e * p < q * c:  # d < 1/delta
                 if not (fx.carrier & f.values[y].carrier):
                     leb_ok = False
                     leb_pair = (x, y)
@@ -150,7 +154,7 @@ def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
         lipschitz_ok=lip_ok,
         lipschitz_pair=lip_pair,
         lipschitz_value=lip_value,
-        lipschitz_allowance=lip_allow,
+        lipschitz_allowance=delta * lip_d + delta,
         lebesgue_ok=leb_ok,
         lebesgue_pair=leb_pair,
         boundedness=bcert,

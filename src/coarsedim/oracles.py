@@ -6,12 +6,14 @@ as oracles in randomized comparisons: chain graphs by merging every element
 into each of its points, chain indices by literal endpoint enumeration or path
 search, stars by scanning every element, nerves by checking every index
 subset, variation by measuring every within-element pair, chain diameters by
-a full BFS from every point, and the shrinking clauses by checking each one
-point by point.
+a full BFS from every point, the shrinking clauses by checking each one
+point by point, and l1 distances and the metric pair scan in Fraction
+arithmetic.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 from .covers import ChainGraph, Cover, is_refinement
@@ -135,6 +137,41 @@ def variation_all_pairs(values, cover: Cover, distance):
     if not best:
         best_pair = pairs[0] if pairs else None
     return best, best_pair
+
+
+def l1_distance_fractions(a, b) -> Fraction:
+    """Exact l1 distance between two barycentric points over a shared vertex universe."""
+    total = Fraction(0)
+    for v in a.carrier | b.carrier:
+        total += abs(a.weight(v) - b.weight(v))
+    return total
+
+
+def delta_pair_scan_fractions(f, metric, delta) -> dict:
+    """The pair conditions of ``certify_delta_pu``, every comparison made on Fractions.
+
+    The Lipschitz pair is the first pair of largest margin gap - (delta*d + delta);
+    the Lebesgue pair is the first pair closer than 1/delta with disjoint carriers.
+    """
+    delta = Fraction(delta)
+    lip_ok, lip_pair, lip_value, lip_allow = True, None, Fraction(0), delta
+    worst_margin = None
+    leb_ok, leb_pair = True, None
+    for x in range(metric.n_points):
+        for y in range(x + 1, metric.n_points):
+            d = metric.dist[x][y]
+            gap = l1_distance_fractions(f.values[x], f.values[y])
+            allowance = delta * d + delta
+            margin = gap - allowance
+            if worst_margin is None or margin > worst_margin:
+                worst_margin = margin
+                lip_pair, lip_value, lip_allow = (x, y), gap, allowance
+            if gap > allowance:
+                lip_ok = False
+            if d < 1 / delta and leb_ok and not (f.values[x].carrier & f.values[y].carrier):
+                leb_ok, leb_pair = False, (x, y)
+    return {"lipschitz_ok": lip_ok, "lipschitz_pair": lip_pair, "lipschitz_value": lip_value,
+            "lipschitz_allowance": lip_allow, "lebesgue_ok": leb_ok, "lebesgue_pair": leb_pair}
 
 
 def nerve_simplices_bruteforce(cover: Cover, d_cap: int) -> frozenset[frozenset[int]]:

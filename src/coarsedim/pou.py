@@ -1,50 +1,83 @@
 """Barycentric points, nerves of covers, and partition-of-unity certification.
 
-All weights are exact rationals; every certified inequality below is a
-decidable comparison of Fractions, with witnesses for failures.
+All weights are exact rationals; every certified inequality below is decided
+exactly, on Fractions or on ints over a common denominator, with witnesses
+for failures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .covers import BoundednessCertificate, Cover, chain_indices, is_uniformly_bounded
 from .errors import ConstructionError, InputError
 
 
 class BarycentricPoint:
-    """Finitely supported nonnegative rational weights summing to exactly 1."""
+    """Finitely supported nonnegative rational weights summing to exactly 1.
 
-    __slots__ = ("weights", "_carrier")
+    The weights are int numerators ``num`` over one positive int ``den``, in
+    lowest terms: the numerators sum to ``den`` and ``gcd(den, *num.values())``
+    is 1, so equal points have equal fields.  ``Fraction``s are built only
+    where a caller asks for them (``weights``, ``weight``).
+    """
+
+    __slots__ = ("num", "den", "_carrier")
 
     def __init__(self, weights):
-        clean: dict[int, Fraction] = {}
-        total = Fraction(0)
+        fracs: dict[int, Fraction] = {}
         for v, w in weights.items():
             w = Fraction(w)
             if w < 0:
                 raise InputError(f"negative weight {w} at vertex {v}")
             if w:
-                clean[int(v)] = w
-                total += w
-        if total != 1:
-            raise InputError(f"weights sum to {total}, need exactly 1")
-        self.weights = clean
+                fracs[int(v)] = w
+        den = lcm(*(w.denominator for w in fracs.values()))
+        self._set({v: w.numerator * (den // w.denominator) for v, w in fracs.items()}, den)
+
+    @classmethod
+    def _from_ints(cls, num: dict[int, int], den: int) -> "BarycentricPoint":
+        """The point with weights ``num[v] / den`` for a positive ``den``."""
+        for v, n in num.items():
+            if n < 0:
+                raise InputError(f"negative weight {Fraction(n, den)} at vertex {v}")
+        point = cls.__new__(cls)
+        point._set({v: n for v, n in num.items() if n}, den)
+        return point
+
+    def _set(self, num: dict[int, int], den: int) -> None:
+        """Check the unit sum of nonnegative ``num`` over ``den`` and store it reduced."""
+        total = sum(num.values())
+        if total != den:
+            raise InputError(f"weights sum to {Fraction(total, den)}, need exactly 1")
+        g = gcd(den, *num.values())
+        if g > 1:
+            num = {v: n // g for v, n in num.items()}
+            den //= g
+        self.num = num
+        self.den = den
         self._carrier = None
 
     @classmethod
     def vertex(cls, v: int) -> "BarycentricPoint":
-        return cls({v: Fraction(1)})
+        return cls._from_ints({int(v): 1}, 1)
+
+    @property
+    def weights(self) -> dict[int, Fraction]:
+        """The weights as a fresh dict of Fractions."""
+        den = self.den
+        return {v: Fraction(n, den) for v, n in self.num.items()}
 
     @property
     def carrier(self) -> frozenset[int]:
         if self._carrier is None:
-            self._carrier = frozenset(self.weights)
+            self._carrier = frozenset(self.num)
         return self._carrier
 
     def weight(self, v: int) -> Fraction:
-        return self.weights.get(v, Fraction(0))
+        return Fraction(self.num.get(v, 0), self.den)
 
     def blend(self, other: "BarycentricPoint", alpha: Fraction) -> "BarycentricPoint":
         """Convex combination alpha*self + (1-alpha)*other."""
@@ -55,31 +88,48 @@ class BarycentricPoint:
             return self
         if alpha == 0:
             return other
-        out = {v: alpha * w for v, w in self.weights.items()}
-        beta = 1 - alpha
-        for v, w in other.weights.items():
-            out[v] = out.get(v, Fraction(0)) + beta * w
-        return BarycentricPoint(out)
+        # over den_a * den_b * q for alpha = p/q
+        p, q = alpha.numerator, alpha.denominator
+        scale = other.den * p
+        out = {v: n * scale for v, n in self.num.items()}
+        scale = self.den * (q - p)
+        for v, n in other.num.items():
+            out[v] = out.get(v, 0) + n * scale
+        return BarycentricPoint._from_ints(out, self.den * other.den * q)
 
     def __eq__(self, other):
         if isinstance(other, BarycentricPoint):
-            return self.weights == other.weights
+            return self.num == other.num  # the numerators sum to den
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(sorted(self.weights.items())))
+        return hash(frozenset(self.num.items()))
 
     def __repr__(self):
-        inner = ", ".join(f"{v}: {w}" for v, w in sorted(self.weights.items()))
+        inner = ", ".join(f"{v}: {Fraction(n, self.den)}" for v, n in sorted(self.num.items()))
         return f"BarycentricPoint({{{inner}}})"
 
 
 def l1_distance(a: BarycentricPoint, b: BarycentricPoint) -> Fraction:
-    """Exact l1 distance between two barycentric points over a shared vertex universe."""
-    total = Fraction(0)
-    for v in a.carrier | b.carrier:
-        total += abs(a.weight(v) - b.weight(v))
-    return total
+    """Exact l1 distance between two barycentric points over a shared vertex universe.
+
+    Over the common denominator D_a*D_b the sum of |a_v*D_b - b_v*D_a| is
+    2*(D_a*D_b - sum of min(a_v*D_b, b_v*D_a)), because both sides sum to
+    D_a*D_b; only the shared vertices take part.  One Fraction is built.
+    """
+    da, db = a.den, b.den
+    an, bn = a.num, b.num
+    if len(bn) < len(an):
+        an, bn, da, db = bn, an, db, da
+    shared = 0
+    for v, x in an.items():
+        y = bn.get(v)
+        if y is not None:
+            x *= db
+            y *= da
+            shared += x if x < y else y
+    prod = da * db
+    return Fraction(2 * (prod - shared), prod)
 
 
 @dataclass(frozen=True)
@@ -194,7 +244,7 @@ class PartitionOfUnity:
         """Points whose value puts positive weight on vertex v."""
         if v not in set(self.vertices):
             raise InputError(f"unknown vertex {v}")
-        return frozenset(x for x, bp in self.values.items() if v in bp.weights)
+        return frozenset(x for x, bp in self.values.items() if v in bp.num)
 
     def star_preimage_cover(self) -> Cover:
         """The family of all vertex-star preimages, indexed in vertex order."""
@@ -299,12 +349,12 @@ def barycentric_map(chain_cover: Cover, target_cover: Cover, d_cap: int | None =
         ixs = {s: index_of_element[s][x] for s in target_cover.membership[x]}
         infinite = [s for s, ix in ixs.items() if ix is None]
         if infinite:
-            values[x] = BarycentricPoint(dict.fromkeys(infinite, Fraction(1, len(infinite))))
+            values[x] = BarycentricPoint._from_ints(dict.fromkeys(infinite, 1), len(infinite))
             continue
         total = sum(ixs.values())
         if total <= 0:
             raise ConstructionError(f"point {x} has zero total index against a covering family")
-        values[x] = BarycentricPoint({s: Fraction(ix, total) for s, ix in ixs.items() if ix})
+        values[x] = BarycentricPoint._from_ints(ixs, total)
     if d_cap is None:
         d_cap = max(target_cover.max_multiplicity(), 1) - 1
     complex_ = nerve(target_cover, d_cap)

@@ -317,6 +317,17 @@ def test_retract_genuinely_moves_offcarrier_mass():
         assert res.max_shift >= l1_distance(gx, pu.values[x]) > 0
 
 
+def test_retract_target_is_the_anchor_vertex_of_largest_weight():
+    u = gen_line(3).space.gauge
+    moving = BarycentricPoint({0: F(1, 2), 1: F(1, 4), 2: F(1, 4)})
+    for anchor, kept in (({0: F(1, 4), 1: F(3, 4)}, {0: F(1, 2), 1: F(1, 2)}),
+                         ({0: F(1, 2), 1: F(1, 2)}, {0: F(3, 4), 1: F(1, 4)})):  # tie: least id
+        pu = PartitionOfUnity({0: BarycentricPoint(anchor), 1: moving, 2: moving}, 3, (0, 1, 2))
+        res = skeletal_retract(pu, {0}, 1, u, F(1, 100), 1)
+        assert res.pu.values[1].weights == kept
+        assert res.max_shift == F(1, 2)
+
+
 def test_retract_requires_small_shift_budget():
     line = gen_line(10)
     u = line.space.gauge

@@ -248,6 +248,16 @@ def test_malformed_fraction_argument_exits_two(capsys):
                  "--max-points 1", id="oracle-chain-index-one-point"),
     pytest.param(["oracle", "shrink", "--instances", "3", "--max-points", "1"],
                  "--max-points 1", id="oracle-shrink-one-point"),
+    pytest.param(["phi", "--space", "line20", "--cover", "st:abc"], "'st:abc'",
+                 id="cover-st-not-a-number"),
+    pytest.param(["phi", "--space", "line20", "--cover", "blocks:x"], "'blocks:x'",
+                 id="cover-blocks-not-a-number"),
+    pytest.param(["phi", "--space", "line20", "--cover", "staggered:1.5"], "'staggered:1.5'",
+                 id="cover-staggered-not-a-number"),
+    pytest.param(["phi", "--space", "grid4x4", "--cover", "bricks:-"], "'bricks:-'",
+                 id="cover-bricks-not-a-number"),
+    pytest.param(["phi", "--space", "line20", "--cover", "gauge", "--chains", "st:2x"], "'st:2x'",
+                 id="chains-st-not-a-number"),
 ])
 def test_bad_argument_exits_two_quoting_it(capsys, argv, quote):
     code = main(argv)
@@ -257,3 +267,315 @@ def test_bad_argument_exits_two_quoting_it(capsys, argv, quote):
     assert doc["error"] == "InputError"
     assert quote in doc["detail"]
     assert "Traceback" not in captured.err
+
+
+# --- golden bytes ------------------------------------------------------------------
+# Recorded from the Fraction-backed BarycentricPoint; the int-numerator form must
+# write the same bytes through dump_pu and report the same pair scan.
+
+GOLDEN_PHI_STDOUT = '''\
+{
+ "complex_dimension": 7,
+ "construction": "barycentric-map",
+ "max_carrier": 8,
+ "points": 20,
+ "vertices": 19,
+ "weights_sum_to_one": true
+}
+'''
+
+GOLDEN_PHI_PU = '''\
+partition-of-unity
+points 20
+vertices 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18
+value 0 0 5 26
+value 0 1 3 13
+value 0 2 7 26
+value 0 3 4 13
+value 1 0 4 23
+value 1 1 5 23
+value 1 2 6 23
+value 1 3 7 23
+value 1 4 1 23
+value 2 0 1 7
+value 2 1 4 21
+value 2 2 5 21
+value 2 3 2 7
+value 2 4 2 21
+value 2 5 1 21
+value 3 0 1 10
+value 3 1 3 20
+value 3 2 1 5
+value 3 3 1 4
+value 3 4 3 20
+value 3 5 1 10
+value 3 6 1 20
+value 4 0 1 20
+value 4 1 1 10
+value 4 2 3 20
+value 4 3 1 5
+value 4 4 1 5
+value 4 5 3 20
+value 4 6 1 10
+value 4 7 1 20
+value 5 1 1 20
+value 5 2 1 10
+value 5 3 3 20
+value 5 4 1 5
+value 5 5 1 5
+value 5 6 3 20
+value 5 7 1 10
+value 5 8 1 20
+value 6 2 1 20
+value 6 3 1 10
+value 6 4 3 20
+value 6 5 1 5
+value 6 6 1 5
+value 6 7 3 20
+value 6 8 1 10
+value 6 9 1 20
+value 7 3 1 20
+value 7 4 1 10
+value 7 5 3 20
+value 7 6 1 5
+value 7 7 1 5
+value 7 8 3 20
+value 7 9 1 10
+value 7 10 1 20
+value 8 4 1 20
+value 8 5 1 10
+value 8 6 3 20
+value 8 7 1 5
+value 8 8 1 5
+value 8 9 3 20
+value 8 10 1 10
+value 8 11 1 20
+value 9 5 1 20
+value 9 6 1 10
+value 9 7 3 20
+value 9 8 1 5
+value 9 9 1 5
+value 9 10 3 20
+value 9 11 1 10
+value 9 12 1 20
+value 10 6 1 20
+value 10 7 1 10
+value 10 8 3 20
+value 10 9 1 5
+value 10 10 1 5
+value 10 11 3 20
+value 10 12 1 10
+value 10 13 1 20
+value 11 7 1 20
+value 11 8 1 10
+value 11 9 3 20
+value 11 10 1 5
+value 11 11 1 5
+value 11 12 3 20
+value 11 13 1 10
+value 11 14 1 20
+value 12 8 1 20
+value 12 9 1 10
+value 12 10 3 20
+value 12 11 1 5
+value 12 12 1 5
+value 12 13 3 20
+value 12 14 1 10
+value 12 15 1 20
+value 13 9 1 20
+value 13 10 1 10
+value 13 11 3 20
+value 13 12 1 5
+value 13 13 1 5
+value 13 14 3 20
+value 13 15 1 10
+value 13 16 1 20
+value 14 10 1 20
+value 14 11 1 10
+value 14 12 3 20
+value 14 13 1 5
+value 14 14 1 5
+value 14 15 3 20
+value 14 16 1 10
+value 14 17 1 20
+value 15 11 1 20
+value 15 12 1 10
+value 15 13 3 20
+value 15 14 1 5
+value 15 15 1 5
+value 15 16 3 20
+value 15 17 1 10
+value 15 18 1 20
+value 16 12 1 20
+value 16 13 1 10
+value 16 14 3 20
+value 16 15 1 4
+value 16 16 1 5
+value 16 17 3 20
+value 16 18 1 10
+value 17 13 1 21
+value 17 14 2 21
+value 17 15 2 7
+value 17 16 5 21
+value 17 17 4 21
+value 17 18 1 7
+value 18 14 1 23
+value 18 15 7 23
+value 18 16 6 23
+value 18 17 5 23
+value 18 18 4 23
+value 19 15 4 13
+value 19 16 7 26
+value 19 17 3 13
+value 19 18 5 26
+end
+'''
+
+GOLDEN_DELTA_STDOUT = '''\
+{
+ "certificate": {
+  "boundedness": {
+   "bound": {
+    "frac": [
+     19,
+     1
+    ]
+   },
+   "max_diameter": {
+    "frac": [
+     7,
+     1
+    ]
+   },
+   "ok": true,
+   "witness": 3
+  },
+  "delta": {
+   "frac": [
+    1,
+    2
+   ]
+  },
+  "lebesgue_ok": true,
+  "lebesgue_pair": null,
+  "lipschitz_allowance": {
+   "frac": [
+    1,
+    1
+   ]
+  },
+  "lipschitz_ok": true,
+  "lipschitz_pair": [
+   3,
+   4
+  ],
+  "lipschitz_value": {
+   "frac": [
+    2,
+    5
+   ]
+  },
+  "ok": true
+ },
+ "construction": "certify-delta-pu"
+}
+'''
+
+GOLDEN_FILLER_PU = '''\
+partition-of-unity
+points 40
+vertices 0 1
+value 0 0 1 2
+value 0 1 1 2
+value 1 0 1 2
+value 1 1 1 2
+value 2 0 1 2
+value 2 1 1 2
+value 3 0 1 2
+value 3 1 1 2
+value 4 0 1 2
+value 4 1 1 2
+value 5 0 1 2
+value 5 1 1 2
+value 6 0 1 2
+value 6 1 1 2
+value 7 0 1 2
+value 7 1 1 2
+value 8 0 1 2
+value 8 1 1 2
+value 9 0 1 2
+value 9 1 1 2
+value 10 0 27 52
+value 10 1 25 52
+value 11 0 7 13
+value 11 1 6 13
+value 12 0 29 52
+value 12 1 23 52
+value 13 0 15 26
+value 13 1 11 26
+value 14 0 31 52
+value 14 1 21 52
+value 15 0 8 13
+value 15 1 5 13
+value 16 0 33 52
+value 16 1 19 52
+value 17 0 17 26
+value 17 1 9 26
+value 18 0 35 52
+value 18 1 17 52
+value 19 0 9 13
+value 19 1 4 13
+value 20 0 37 52
+value 20 1 15 52
+value 21 0 19 26
+value 21 1 7 26
+value 22 0 3 4
+value 22 1 1 4
+value 23 0 10 13
+value 23 1 3 13
+value 24 0 41 52
+value 24 1 11 52
+value 25 0 21 26
+value 25 1 5 26
+value 26 0 43 52
+value 26 1 9 52
+value 27 0 11 13
+value 27 1 2 13
+value 28 0 45 52
+value 28 1 7 52
+value 29 0 23 26
+value 29 1 3 26
+value 30 0 47 52
+value 30 1 5 52
+value 31 0 12 13
+value 31 1 1 13
+value 32 0 49 52
+value 32 1 3 52
+value 33 0 25 26
+value 33 1 1 26
+value 34 0 51 52
+value 34 1 1 52
+value 35 0 1 1
+value 36 0 1 1
+value 37 0 1 1
+value 38 0 1 1
+value 39 0 1 1
+end
+'''
+
+
+def test_golden_bytes_of_map_certificate_and_blend(tmp_path, capsys):
+    pu = tmp_path / "P"
+    assert main(["phi", "--space", "line20", "--cover", "st:3", "--out-pu", str(pu)]) == 0
+    assert capsys.readouterr().out == GOLDEN_PHI_STDOUT
+    assert pu.read_text() == GOLDEN_PHI_PU
+    assert main(["certify", "delta", "--metric", "line20", "--pu", str(pu),
+                 "--delta", "1/2", "--diam", "19"]) == 0
+    assert capsys.readouterr().out == GOLDEN_DELTA_STDOUT
+    blended = tmp_path / "F"
+    code, doc = run_cli(capsys, "filler", "--space", "line40", "--n", "1", "--eps", "1",
+                        "--a-end", "10", "--diam", "39", "--out-pu", str(blended))
+    assert code == 0
+    assert blended.read_text() == GOLDEN_FILLER_PU
+    assert (doc["measured_variation"], doc["min_peak_weight"], doc["max_deviation_on_anchors"],
+            doc["certificate"]["variation_pair"]) == (F(1, 26), F(1, 2), 0, [9, 10])

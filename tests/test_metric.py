@@ -1,8 +1,11 @@
 """Finite metric spaces, ball covers, and both directions of the scale bridge."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsedim import (
     BarycentricPoint,
@@ -18,7 +21,12 @@ from coarsedim import (
     comparison_forward,
     gen_line,
     gen_random_geometric,
+    l1_distance,
+    variation,
 )
+from coarsedim.formats import dump_pu, load_pu
+from coarsedim.generators import random_cover, random_fraction, random_refinement_pair
+from coarsedim.oracles import delta_pair_scan_fractions, l1_distance_fractions, variation_all_pairs
 
 F = Fraction
 
@@ -185,3 +193,56 @@ def test_far_pairs_satisfy_doubled_bound_exactly():
         for y in range(x + 2, 100, 13):
             d = metric.d(x, y)
             assert l1_distance(f.values[x], f.values[y]) <= 2 * delta * d + 2 * delta
+
+
+def unreduced(text, rng):
+    """The same map file with each value line's fraction scaled by a random factor."""
+    lines = []
+    for ln in text.splitlines():
+        tok = ln.split()
+        if tok[0] == "value":
+            k = rng.randrange(1, 7)
+            tok[3:] = [str(int(tok[3]) * k), str(int(tok[4]) * k)]
+        lines.append(" ".join(tok))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 10_000))
+def test_int_arithmetic_matches_fraction_oracle(n, seed):
+    # values from barycentric_map, from unreduced value lines, and from blends
+    rng = random.Random(seed)
+    fine, coarse = random_refinement_pair(rng, n)
+    base = barycentric_map(fine, coarse)
+    loaded = load_pu(unreduced(dump_pu(base), rng))
+    values = {}
+    for x in range(n):
+        a = loaded.values[x]
+        assert a == base.values[x] and hash(a) == hash(base.values[x])
+        if rng.random() < 0.5:
+            b = loaded.values[rng.randrange(n)]
+            alpha = random_fraction(rng, 0, 1, 6)
+            a = a.blend(b, alpha)
+            expect = {v: alpha * a_w + (1 - alpha) * b.weight(v)
+                      for v, a_w in loaded.values[x].weights.items()}
+            expect.update({v: (1 - alpha) * w for v, w in b.weights.items() if v not in expect})
+            assert a.weights == {v: w for v, w in expect.items() if w}
+        values[x] = a
+    f = PartitionOfUnity(values, n, base.vertices)
+
+    for x in range(n):
+        for y in range(n):
+            assert l1_distance(values[x], values[y]) == l1_distance_fractions(values[x], values[y])
+
+    cover = random_cover(rng, n)
+    res = variation(f, cover)
+    assert (res.value, res.pair) == variation_all_pairs(values, cover, l1_distance_fractions)
+
+    metric = FiniteMetricSpace.from_l1_points(
+        [(random_fraction(rng, 0, 3, 4),) for _ in range(n)])
+    delta = random_fraction(rng, 0, 2, 5) or F(1, 7)
+    cert = certify_delta_pu(f, metric, delta, random_fraction(rng, 0, 3, 2))
+    ref = delta_pair_scan_fractions(f, metric, delta)
+    for name, value in ref.items():
+        assert getattr(cert, name) == value, name
+    assert cert.ok == (ref["lipschitz_ok"] and ref["lebesgue_ok"] and cert.boundedness.ok)

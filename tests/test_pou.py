@@ -24,6 +24,7 @@ from coarsedim import (
     variation,
 )
 from coarsedim import pou
+from coarsedim.formats import load_pu
 from coarsedim.generators import random_cover, random_fraction, random_refinement_pair
 from coarsedim.oracles import nerve_simplices_bruteforce, variation_all_pairs
 
@@ -54,6 +55,34 @@ def test_l1_distance_examples():
     assert l1_distance(a, a) == 0
     assert l1_distance(BarycentricPoint.vertex(0), BarycentricPoint.vertex(5)) == 2
     assert l1_distance(a, b) == F(2, 3)
+
+
+def test_points_from_fractions_and_from_unreduced_ints_are_one_point():
+    a = BarycentricPoint({0: F(1, 3), 2: F(2, 3), 4: F(0)})
+    b = BarycentricPoint._from_ints({0: 4, 2: 8, 4: 0}, 12)
+    c = load_pu("partition-of-unity\npoints 1\nvertices 0 2 4\n"
+                "value 0 0 2 6\nvalue 0 2 4 6\nend\n").values[0]
+    for p in (b, c):
+        assert p == a and hash(p) == hash(a)
+        assert p.weights == a.weights == {0: F(1, 3), 2: F(2, 3)}
+        assert repr(p) == repr(a) == "BarycentricPoint({0: 1/3, 2: 2/3})"
+        assert (p.num, p.den) == ({0: 1, 2: 2}, 3)
+    assert len({a, b, c}) == 1
+
+
+def test_weight_error_messages():
+    cases = [
+        (lambda: BarycentricPoint({0: F(3, 2), 1: F(-1, 2)}), "negative weight -1/2 at vertex 1"),
+        (lambda: BarycentricPoint({0: F(1, 2), 1: F(1, 3)}), "weights sum to 5/6, need exactly 1"),
+        (lambda: BarycentricPoint({}), "weights sum to 0, need exactly 1"),
+        (lambda: BarycentricPoint._from_ints({0: 3, 1: -1}, 2), "negative weight -1/2 at vertex 1"),
+        (lambda: BarycentricPoint._from_ints({0: 1, 1: 1}, 3),
+         "weights sum to 2/3, need exactly 1"),
+    ]
+    for build, message in cases:
+        with pytest.raises(InputError) as err:
+            build()
+        assert str(err.value) == message
 
 
 def test_blend_is_exact():
