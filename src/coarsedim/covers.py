@@ -26,21 +26,25 @@ class Cover:
     sets: tuple[frozenset[int], ...]
     n_points: int
     allow_empty: bool = False
+    # iterated_star's retained level (level, balls, last gains); False once released
+    _star_tower = None
 
     def __post_init__(self):
         if self.n_points <= 0:
             raise InputError("a cover needs a positive number of points")
         if not self.sets:
             raise InputError("a cover needs at least one element")
-        covered = set()
-        for i, s in enumerate(self.sets):
-            if not s and not self.allow_empty:
-                raise InputError(f"cover element {i} is empty")
-            for x in s:
-                if not (0 <= x < self.n_points):
-                    raise InputError(f"cover element {i} contains unknown point {x}")
-            covered.update(s)
-        if len(covered) != self.n_points:
+        n = self.n_points
+        covered = set().union(*self.sets)
+        if ((not self.allow_empty and not all(self.sets))
+                or (covered and (min(covered) < 0 or max(covered) >= n))):
+            for i, s in enumerate(self.sets):  # name the first defect in index order
+                if not s and not self.allow_empty:
+                    raise InputError(f"cover element {i} is empty")
+                for x in s:
+                    if not (0 <= x < n):
+                        raise InputError(f"cover element {i} contains unknown point {x}")
+        if len(covered) != n:
             missing = min(set(range(self.n_points)) - covered)
             raise InputError(f"cover misses point {missing}")
 
@@ -141,14 +145,24 @@ class ChainGraph:
     def n_points(self) -> int:
         return len(self.neighbors)
 
-    def distances_from(self, sources: Iterable[int]) -> list[int | None]:
-        """Multi-source BFS distance to the nearest source; None where unreachable."""
-        dist: list[int | None] = [None] * self.n_points
-        queue: deque[int] = deque()
-        for s in sorted(set(sources)):
-            if dist[s] is None:
-                dist[s] = 0
-                queue.append(s)
+    def distances_from(self, sources: Iterable[int],
+                       within: frozenset[int] | None = None) -> list[int | None]:
+        """Multi-source BFS distance to the nearest source; None where unreachable.
+
+        With ``within``, the search enters only points of that set: every
+        other point but the sources stays None.
+        """
+        n = self.n_points
+        if within is None:
+            dist: list = [None] * n
+        else:
+            dist = [False] * n  # False marks a point the search may not enter
+            for x in within:
+                dist[x] = None
+        sources = sorted(set(sources))
+        for s in sources:
+            dist[s] = 0
+        queue: deque[int] = deque(sources)
         while queue:
             x = queue.popleft()
             d = dist[x] + 1
@@ -156,6 +170,12 @@ class ChainGraph:
                 if dist[y] is None:
                     dist[y] = d
                     queue.append(y)
+        if within is not None:
+            reached, dist = dist, [None] * n
+            for x in within:
+                dist[x] = reached[x]
+            for s in sources:
+                dist[s] = 0
         return dist
 
     def is_connected(self) -> bool:
@@ -219,22 +239,31 @@ def star_set(points: Iterable[int], cover: Cover) -> frozenset[int]:
     return _star_ball(pts, cover, 1)
 
 
+def _grow(frontier: Iterable[int], cover: Cover, merged: set[int]) -> set[int]:
+    """Union of the elements of ``cover`` meeting ``frontier`` and not yet in ``merged``.
+
+    The elements taken are added to ``merged``, so each is merged at most once.
+    """
+    membership, sets = cover.membership, cover.sets
+    grown: set[int] = set()
+    for x in frontier:
+        for e in membership[x]:
+            if e not in merged:
+                merged.add(e)
+                grown |= sets[e]
+    return grown
+
+
 def _star_ball(points: Iterable[int], cover: Cover, k: int) -> frozenset[int]:
     """The set starred k times against ``cover``, merging each element at most once."""
     ball = set(points)
-    frontier = ball
-    used: set[int] = set()
+    gain = ball
+    merged: set[int] = set()
     for _ in range(k):
-        grown: set[int] = set()
-        for x in frontier:
-            for e in cover.membership[x]:
-                if e not in used:
-                    used.add(e)
-                    grown |= cover.sets[e]
-        frontier = grown - ball
-        if not frontier:
+        gain = _grow(gain, cover, merged) - ball
+        if not gain:
             break
-        ball |= frontier
+        ball |= gain
     return frozenset(ball)
 
 
@@ -255,21 +284,67 @@ def iterated_star(cover: Cover, k: int) -> Cover:
     Level 0 is the cover itself; each level stars every element once more, so
     level k holds the chain balls of radius k around the original elements.
     Index set of the result equals the index set of the input.
+
+    The cover keeps the last level reached, with the points each ball gained
+    last, and a call for that level or above continues from it.  A call below
+    it releases the tower for good on this cover and grows each ball from its
+    element, keeping nothing; level 0 leaves the tower as it is.
     """
     if k < 0:
         raise InputError("star iteration count must be nonnegative")
     if k == 0:
         return cover
-    return Cover(tuple(_star_ball(s, cover, k) for s in cover.sets),
-                 cover.n_points, cover.allow_empty)
+    tower = cover._star_tower
+    if tower is False or (tower is not None and k < tower[0]):
+        object.__setattr__(cover, "_star_tower", False)
+        del tower  # the released level is freed before the new one grows
+        balls = tuple(_star_ball(s, cover, k) for s in cover.sets)
+    else:
+        level, balls, gains = tower or (0, cover.sets, cover.sets)
+        for _ in range(level, k):
+            if not any(gains):
+                break
+            balls, gains = _star_step(balls, gains, cover)
+        object.__setattr__(cover, "_star_tower", (k, balls, gains))
+    return Cover(balls, cover.n_points, cover.allow_empty)
+
+
+def _star_step(balls, gains, cover: Cover):
+    """One more level of every ball: each grows by the elements meeting its last gains.
+
+    An element merged one level down may be merged again; the tower keeps no
+    record of merged elements.
+    """
+    next_balls: list[frozenset[int]] = []
+    next_gains: list[tuple[int, ...]] = []
+    for ball, gain in zip(balls, gains):
+        gain = _grow(gain, cover, set()) - ball
+        if gain:
+            ball = ball | gain
+        next_balls.append(ball)
+        next_gains.append(tuple(gain))
+    return tuple(next_balls), tuple(next_gains)
 
 
 def chain_indices(cover: Cover, region: Iterable[int]) -> list[int | None]:
-    """Per point, the shortest chain length to a point outside ``region``; None if unreachable."""
+    """Per point, the shortest chain length to a point outside ``region``; None if unreachable.
+
+    A shortest chain leaves the region through a point next to it, so the BFS
+    starts from those points and enters only the region.  Finding them costs
+    the region's elements; when the region holds most of the space, starting
+    from the whole complement costs less.
+    """
     inside = frozenset(region)
     for x in inside:
         cover._check_point(x)
-    return cover.chain.distances_from(y for y in range(cover.n_points) if y not in inside)
+    n = cover.n_points
+    if 2 * len(inside) > n:
+        return cover.chain.distances_from(y for y in range(n) if y not in inside)
+    dist = cover.chain.distances_from(_star_ball(inside, cover, 1) - inside, within=inside)
+    index: list[int | None] = [0] * n
+    for x in inside:
+        index[x] = dist[x]
+    return index
 
 
 def chain_index(cover: Cover, x: int, region: Iterable[int]) -> ExtNat:

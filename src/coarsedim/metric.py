@@ -5,6 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import itemgetter
 
 from .covers import BoundednessCertificate, Cover, is_uniformly_bounded
 from .errors import InputError, PreconditionError
@@ -69,14 +72,21 @@ class FiniteMetricSpace:
             raise InputError(f"unknown point in pair ({x}, {y})")
         return self.dist[x][y]
 
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The distances as int numerators over one common denominator: (den, rows)."""
+        den = lcm(*(d.denominator for row in self.dist for d in row))
+        return den, tuple(tuple(d.numerator * (den // d.denominator) for d in row)
+                          for row in self.dist)
+
     def set_diameter(self, points) -> Fraction:
+        """Largest distance between two points of the set (0 for <= 1 point)."""
         pts = sorted(set(points))
-        best = Fraction(0)
-        for i, a in enumerate(pts):
-            for b in pts[i + 1:]:
-                if self.dist[a][b] > best:
-                    best = self.dist[a][b]
-        return best
+        if len(pts) < 2:
+            return Fraction(0)
+        den, rows = self._scaled
+        row_slice = itemgetter(*pts)
+        return Fraction(max(max(row_slice(rows[a])) for a in pts), den)
 
 
 def ball_cover(metric: FiniteMetricSpace, radius) -> Cover:

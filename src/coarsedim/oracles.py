@@ -7,8 +7,8 @@ into each of its points, chain indices by literal endpoint enumeration or path
 search, stars by scanning every element, nerves by checking every index
 subset, variation by measuring every within-element pair, chain diameters by
 a full BFS from every point, the shrinking clauses by checking each one
-point by point, and l1 distances and the metric pair scan in Fraction
-arithmetic.
+point by point, and l1 distances, metric diameters and the metric pair scan
+in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -137,6 +137,17 @@ def variation_all_pairs(values, cover: Cover, distance):
     if not best:
         best_pair = pairs[0] if pairs else None
     return best, best_pair
+
+
+def set_diameter_fractions(metric, points) -> Fraction:
+    """Metric diameter of a point set, comparing the Fraction distance of every pair."""
+    pts = sorted(set(points))
+    best = Fraction(0)
+    for i, a in enumerate(pts):
+        for b in pts[i + 1:]:
+            if metric.dist[a][b] > best:
+                best = metric.dist[a][b]
+    return best
 
 
 def l1_distance_fractions(a, b) -> Fraction:

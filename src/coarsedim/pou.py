@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .covers import BoundednessCertificate, Cover, chain_indices, is_uniformly_bounded
@@ -156,14 +157,20 @@ class SimplicialComplex:
             if not f <= universe:
                 raise InputError(f"facet {sorted(f)} uses unknown vertices")
         for f in self.facets:
-            if any(f < g for g in self.facets):
+            if not _is_maximal(f, self._facets_at):
                 raise InputError(f"facet {sorted(f)} is not maximal")
+
+    @cached_property
+    def _facets_at(self) -> dict[int, tuple[frozenset[int], ...]]:
+        """The facets containing each vertex."""
+        return _by_vertex(self.facets)
 
     def has(self, simplex) -> bool:
         s = frozenset(simplex)
         if not s or len(s) > self.d_cap + 1:
             return False
-        return any(s <= f for f in self.facets)
+        # a facet holding s holds each of its vertices, so one vertex's facets suffice
+        return any(s <= f for f in self._facets_at.get(next(iter(s)), ()))
 
     @property
     def dimension(self) -> int:
@@ -186,6 +193,20 @@ class SimplicialComplex:
         return frozenset(out)
 
 
+def _by_vertex(sets) -> dict[int, tuple[frozenset[int], ...]]:
+    """For each vertex, the given sets that contain it."""
+    at: dict[int, list[frozenset[int]]] = {}
+    for f in sets:
+        for v in f:
+            at.setdefault(v, []).append(f)
+    return {v: tuple(fs) for v, fs in at.items()}
+
+
+def _is_maximal(f: frozenset[int], by_vertex) -> bool:
+    """No set strictly contains the nonempty ``f``; a superset holds each of its vertices."""
+    return not any(f < g for g in by_vertex[next(iter(f))])
+
+
 def nerve(cover: Cover, d_cap: int) -> SimplicialComplex:
     """Nerve of a cover: index subsets spanning a simplex iff their elements all meet.
 
@@ -195,8 +216,9 @@ def nerve(cover: Cover, d_cap: int) -> SimplicialComplex:
     """
     if d_cap < 0:
         raise InputError("dimension cap must be nonnegative")
-    distinct = {frozenset(cover.membership[x]) for x in range(cover.n_points)}
-    facets = frozenset(f for f in distinct if not any(f < g for g in distinct))
+    distinct = {frozenset(m) for m in cover.membership}
+    at = _by_vertex(distinct)
+    facets = frozenset(f for f in distinct if _is_maximal(f, at))
     return SimplicialComplex(tuple(range(len(cover.sets))), facets, d_cap)
 
 
@@ -216,13 +238,18 @@ class PartitionOfUnity:
 
     def __post_init__(self):
         universe = set(self.vertices)
+        checked: set[frozenset[int]] = set()  # each distinct carrier is checked once
         for x, bp in self.values.items():
             if not (0 <= x < self.n_points):
                 raise InputError(f"value assigned to unknown point {x}")
-            if not bp.carrier <= universe:
+            carrier = bp.carrier
+            if carrier in checked:
+                continue
+            if not carrier <= universe:
                 raise InputError(f"value at point {x} uses vertices outside the universe")
-            if self.complex is not None and not self.complex.has(bp.carrier):
+            if self.complex is not None and not self.complex.has(carrier):
                 raise InputError(f"carrier at point {x} is not a simplex of the target complex")
+            checked.add(carrier)
 
     def __eq__(self, other):
         if isinstance(other, PartitionOfUnity):
@@ -344,17 +371,26 @@ def barycentric_map(chain_cover: Cover, target_cover: Cover, d_cap: int | None =
     n = chain_cover.n_points
     index_of_element = [chain_indices(chain_cover, s) for s in target_cover.sets]
     values: dict[int, BarycentricPoint] = {}
+    carriers: dict[tuple[int, ...], frozenset[int]] = {}  # one frozenset per distinct carrier
     for x in range(n):
-        # outside an element the chain index is 0, so only x's own elements count
-        ixs = {s: index_of_element[s][x] for s in target_cover.membership[x]}
-        infinite = [s for s, ix in ixs.items() if ix is None]
+        # outside an element the chain index is 0, so only x's own elements count;
+        # inside it is at least 1, so the carrier is the membership or its infinite part
+        own = target_cover.membership[x]
+        ixs = {s: index_of_element[s][x] for s in own}
+        infinite = tuple(s for s, ix in ixs.items() if ix is None)
         if infinite:
-            values[x] = BarycentricPoint._from_ints(dict.fromkeys(infinite, 1), len(infinite))
-            continue
-        total = sum(ixs.values())
-        if total <= 0:
-            raise ConstructionError(f"point {x} has zero total index against a covering family")
-        values[x] = BarycentricPoint._from_ints(ixs, total)
+            point = BarycentricPoint._from_ints(dict.fromkeys(infinite, 1), len(infinite))
+            own = infinite
+        else:
+            total = sum(ixs.values())
+            if total <= 0:
+                raise ConstructionError(f"point {x} has zero total index against a covering family")
+            point = BarycentricPoint._from_ints(ixs, total)
+        carrier = carriers.get(own)
+        if carrier is None:
+            carrier = carriers[own] = frozenset(own)
+        point._carrier = carrier
+        values[x] = point
     if d_cap is None:
         d_cap = max(target_cover.max_multiplicity(), 1) - 1
     complex_ = nerve(target_cover, d_cap)

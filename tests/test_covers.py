@@ -73,6 +73,20 @@ def test_cover_rejects_unknown_point():
         Cover.of([[0, 5]], 2)
 
 
+def test_cover_names_its_first_defect_in_index_order():
+    cases = [
+        ([[0, 7], [], [-1]], "cover element 0 contains unknown point 7"),
+        ([[0, 1], [], [9]], "cover element 1 is empty"),
+        ([[0, 1], [1, -2]], "cover element 1 contains unknown point -2"),
+        ([[0], [1]], "cover misses point 2"),
+    ]
+    for sets, message in cases:
+        with pytest.raises(InputError, match=message):
+            Cover.of(sets, 3)
+    with pytest.raises(InputError, match="cover element 2 contains unknown point 3"):
+        Cover.of([[0, 1, 2], [], [3]], 3, allow_empty=True)
+
+
 def test_relaxed_cover_keeps_empty_elements():
     c = Cover.of([[0, 1], []], 2, allow_empty=True)
     assert c.has_empty_elements()
@@ -234,6 +248,47 @@ def test_iterated_star_nondecreasing_and_refined():
             prev = cur
 
 
+k_steps = st.lists(st.integers(0, 9), min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 10_000), st.booleans(), st.booleans(),
+       st.booleans(), st.one_of(k_steps, k_steps.map(sorted),
+                                k_steps.map(lambda ks: sorted(ks, reverse=True) + sorted(ks))))
+def test_iterated_star_tower_matches_bruteforce_over_k_sequences(n, seed, empties, duplicates,
+                                                                  connected, ks):
+    rng = random.Random(seed)
+    cover = varied_cover(rng, n, empties, duplicates)
+    if connected:
+        cover = Cover(cover.sets + random_cover(rng, n, connected=True).sets, n, empties)
+    for k in ks:  # one cover object throughout, so each call sees the tower the last one left
+        assert iterated_star(cover, k) == iterated_star_bruteforce(cover, k)
+
+
+def test_iterated_star_releases_its_tower_for_good_on_a_smaller_k(monkeypatch):
+    u = line_cover(30)
+    steps = []
+    step = covers._star_step
+    monkeypatch.setattr(covers, "_star_step",
+                        lambda *args: steps.append(1) or step(*args))
+    iterated_star(u, 3)
+    assert u._star_tower[0] == 3 and len(steps) == 3
+    iterated_star(u, 5)  # continues from level 3
+    assert u._star_tower[0] == 5 and len(steps) == 5
+    iterated_star(u, 5)  # the kept level again: no step
+    assert len(steps) == 5
+    iterated_star(u, 0)  # level 0 is the cover itself and leaves the tower alone
+    assert u._star_tower[0] == 5
+    assert iterated_star(u, 4) == iterated_star_bruteforce(u, 4)
+    assert u._star_tower is False
+    for k in (6, 2, 7):  # released for good: every level grows from the elements
+        assert iterated_star(u, k) == iterated_star_bruteforce(u, k)
+        assert u._star_tower is False
+    assert len(steps) == 5
+    fresh = Cover(u.sets, u.n_points)
+    assert fresh._star_tower is None and iterated_star(fresh, 7) == iterated_star(u, 7)
+
+
 # --- chain graph and indices --------------------------------------------------
 
 def test_chain_graph_on_line_is_path():
@@ -322,6 +377,53 @@ def test_chain_indices_match_enumeration_oracle(n, seed):
     got = chain_indices(cover, region)
     assert [ExtNat(d) for d in got] == [chain_index_by_enumeration(cover, x, region)
                                         for x in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10_000), st.booleans(), st.booleans(),
+       st.sampled_from(["small", "large", "whole", "component"]))
+def test_chain_indices_match_enumeration_on_both_sides_of_half(n, seed, empties, connected, kind):
+    rng = random.Random(seed)
+    cover = varied_cover(rng, n, empties, rng.random() < 0.3)
+    if connected:
+        cover = Cover(cover.sets + random_cover(rng, n, connected=True).sets, n, empties)
+    if kind == "whole":
+        region = frozenset(range(n))
+    elif kind == "component":  # a union of chain components: every index in it is infinite
+        dist = cover.chain.distances_from([rng.randrange(n)])
+        region = frozenset(x for x in range(n) if dist[x] is not None)
+    else:
+        size = rng.randrange(0, n // 2 + 1) if kind == "small" else rng.randrange(n // 2 + 1, n + 1)
+        region = frozenset(rng.sample(range(n), size))
+    got = chain_indices(cover, region)
+    want = [chain_index_by_enumeration(cover, x, region) for x in range(n)]
+    assert [ExtNat(d) for d in got] == want
+    assert all(d == 0 for x, d in enumerate(got) if x not in region)
+    if kind in ("whole", "component"):
+        assert all(got[x] is None for x in region)
+
+
+def test_bounded_bfs_enters_only_the_given_set():
+    graph = line_cover(8).chain
+    assert graph.distances_from([2], within=frozenset({3, 4, 6})) == [
+        None, None, 0, 1, 2, None, None, None]
+    assert graph.distances_from([2, 5], within=frozenset({3, 4})) == [
+        None, None, 0, 1, 1, 0, None, None]
+    assert graph.distances_from([2]) == [2, 1, 0, 1, 2, 3, 4, 5]
+
+
+def test_chain_indices_search_only_the_region_and_its_rim(monkeypatch):
+    reached = []
+    bfs = ChainGraph.distances_from
+    monkeypatch.setattr(ChainGraph, "distances_from", lambda *args, **kwargs: reached.append(
+        bfs(*args, **kwargs)) or reached[-1])
+    u = line_cover(100)
+    index = chain_indices(u, range(10, 15))
+    assert index[8:17] == [0, 0, 1, 2, 3, 2, 1, 0, 0]
+    assert [x for x, d in enumerate(reached[-1]) if d is not None] == list(range(9, 16))
+    # a region of more than half the space starts from the whole complement
+    chain_indices(u, range(20, 80))
+    assert sum(d is not None for d in reached[-1]) == 100
 
 
 def test_chain_indices_reject_unknown_points():

@@ -26,7 +26,12 @@ from coarsedim import (
 )
 from coarsedim.formats import dump_pu, load_pu
 from coarsedim.generators import random_cover, random_fraction, random_refinement_pair
-from coarsedim.oracles import delta_pair_scan_fractions, l1_distance_fractions, variation_all_pairs
+from coarsedim.oracles import (
+    delta_pair_scan_fractions,
+    l1_distance_fractions,
+    set_diameter_fractions,
+    variation_all_pairs,
+)
 
 F = Fraction
 
@@ -88,6 +93,19 @@ def test_ball_cover_elements_have_bounded_diameter():
     c = ball_cover(inst.metric, r)
     for s in c.sets:
         assert inst.metric.set_diameter(s) <= 2 * r
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 3), st.integers(0, 10_000), st.data())
+def test_set_diameter_matches_fraction_pair_scan(n, dim, seed, data):
+    rng = random.Random(seed)
+    metric = FiniteMetricSpace.from_l1_points(
+        [tuple(random_fraction(rng, -3, 3, 7) for _ in range(dim)) for _ in range(n)])
+    subsets = data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n + 2), max_size=6))
+    for s in subsets + [list(range(n))]:
+        got = metric.set_diameter(s)
+        assert type(got) is Fraction
+        assert got == set_diameter_fractions(metric, s)
 
 
 # --- metric certificates --------------------------------------------------------------

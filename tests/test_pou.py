@@ -26,7 +26,11 @@ from coarsedim import (
 from coarsedim import pou
 from coarsedim.formats import load_pu
 from coarsedim.generators import random_cover, random_fraction, random_refinement_pair
-from coarsedim.oracles import nerve_simplices_bruteforce, variation_all_pairs
+from coarsedim.oracles import (
+    chain_index_by_enumeration,
+    nerve_simplices_bruteforce,
+    variation_all_pairs,
+)
 
 F = Fraction
 
@@ -128,6 +132,21 @@ def test_nerve_matches_subset_enumeration_oracle():
             assert k.has(s)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 10_000), st.integers(0, 4), st.data())
+def test_has_through_the_facet_index_matches_every_facet(n, seed, d_cap, data):
+    rng = random.Random(seed)
+    cover = random_cover(rng, n)
+    k = nerve(cover, d_cap)
+    expected = nerve_simplices_bruteforce(cover, d_cap)
+    vertices = range(len(cover.sets))
+    probes = data.draw(st.lists(st.frozensets(st.sampled_from(vertices), max_size=d_cap + 2),
+                                max_size=25))
+    for s in list(expected) + probes:
+        by_all_facets = bool(s) and len(s) <= d_cap + 1 and any(s <= f for f in k.facets)
+        assert k.has(s) == by_all_facets == (s in expected)
+
+
 def test_empty_cover_elements_are_not_vertices_of_the_nerve():
     c = Cover.of([[0, 1], []], 2, allow_empty=True)
     k = nerve(c, 1)
@@ -209,6 +228,38 @@ def test_infinite_branch_is_constant_on_shared_elements():
                 assert inf_sets[x] == inf_sets[y]
                 if inf_sets[x]:
                     assert pu.values[x] == pu.values[y]
+
+
+def map_by_enumeration(chain_cover, target):
+    """Weights from ``chain_index_by_enumeration``, as Fractions of the index total."""
+    values = {}
+    for x in range(chain_cover.n_points):
+        ixs = {s: chain_index_by_enumeration(chain_cover, x, target.sets[s])
+               for s in target.membership[x]}
+        infinite = [s for s, ix in ixs.items() if not ix.is_finite]
+        if infinite:
+            values[x] = {s: F(1, len(infinite)) for s in infinite}
+        else:
+            total = sum(ix.value for ix in ixs.values())
+            values[x] = {s: F(ix.value, total) for s, ix in ixs.items()}
+    return values
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 10_000), st.booleans(), st.booleans())
+def test_barycentric_map_matches_enumerated_indices(n, seed, connected, whole):
+    rng = random.Random(seed)
+    u = random_cover(rng, n, connected=connected)
+    v = random_cover(rng, n)
+    if whole:  # an element with infinite index at every point of its component
+        v = Cover(v.sets + (frozenset(range(n)),), n)
+    pu = barycentric_map(u, v)
+    assert {x: bp.weights for x, bp in pu.values.items()} == map_by_enumeration(u, v)
+    for x, bp in pu.values.items():
+        assert bp.carrier == frozenset(bp.num)
+        for y in range(x):  # one carrier object per distinct carrier
+            if pu.values[y].carrier == bp.carrier:
+                assert pu.values[y].carrier is bp.carrier
 
 
 def test_carriers_are_simplices_of_the_nerve():
