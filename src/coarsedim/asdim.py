@@ -158,23 +158,26 @@ def build_skeleton_pu(space: FiniteCoarseSpace, cover: Cover, witness: Cover,
     """Build a certified map into an n-dimensional nerve from a witness cover.
 
     Requires every element of the (k+1)-fold star of ``cover`` to meet at most
-    n+1 elements of ``witness``.  The target family stars the witness against
-    the k-fold star of ``cover``; its multiplicity is checked to stay at most
-    n+1, so the nerve capped at dimension n holds every carrier.  The returned
-    certificate is taken at bound (2n+2)^2 / k.
+    n+1 elements of ``witness``.  That star meets w_j exactly when the k-fold
+    star meets the star of w_j against ``cover``, so the check counts those
+    and no (k+1)-fold star is built.  The target family stars the witness
+    against the k-fold star of ``cover``; its multiplicity is checked to stay
+    at most n+1, so the nerve capped at dimension n holds every carrier.  The
+    returned certificate is taken at bound (2n+2)^2 / k.
     """
     if k < 1:
         raise InputError("star scale k must be at least 1")
     if n < 0:
         raise InputError("dimension n must be nonnegative")
-    pre = check_asdim_pair(iterated_star(cover, k + 1), witness, n)
+    stars = iterated_star(cover, k)
+    pre = check_asdim_pair(stars, star_cover(witness, cover), n)
     if not pre.ok:
         raise PreconditionError(
             f"element {pre.worst_index} of the (k+1)-fold star meets "
             f"{pre.max_count} witness elements (allowed {n + 1})",
             witness=pre,
         )
-    target = star_cover(witness, iterated_star(cover, k))
+    target = star_cover(witness, stars)
     mult = target.max_multiplicity()
     if mult > n + 1:
         worst = next(x for x in range(target.n_points)

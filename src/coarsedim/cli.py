@@ -103,6 +103,14 @@ def _load_metric_arg(arg: str) -> FiniteMetricSpace:
     return formats.load_metric(path.read_text())
 
 
+def _finite(flag: str, text: str) -> Fraction:
+    """A flag's value where a finite rational is required: 'inf' is refused."""
+    value = formats.parse_fraction(text)
+    if value is None:
+        raise InputError(f"{flag} {text!r} must be a finite rational (p/q or an integer)")
+    return value
+
+
 def _emit(doc, out: str | None) -> None:
     text = formats.doc_dumps(doc)
     if out:
@@ -141,7 +149,7 @@ def _cmd_gen(args) -> int:
             written.append(_write(f"{prefix}.bricks{b}.cover.txt",
                                   formats.dump_cover(cover)))
     else:
-        inst = gen_random_geometric(args.n, formats.parse_fraction(args.radius), args.seed)
+        inst = gen_random_geometric(args.n, _finite("--radius", args.radius), args.seed)
         prefix = args.out_prefix or f"rg{args.n}s{args.seed}"
         written.append(_write(f"{prefix}.space.txt", formats.dump_space(inst.space)))
         written.append(_write(f"{prefix}.metric.txt", formats.dump_metric(inst.metric)))
@@ -187,8 +195,8 @@ def _cmd_certify(args) -> int:
         return 0 if cert.ok else 1
     metric = _load_metric_arg(args.metric)
     pu = formats.load_pu(Path(args.pu).read_text())
-    cert = certify_delta_pu(pu, metric, formats.parse_fraction(args.delta),
-                            formats.parse_fraction(args.diam))
+    cert = certify_delta_pu(pu, metric, _finite("--delta", args.delta),
+                            _finite("--diam", args.diam))
     _emit(_cert_doc("certify-delta-pu", cert), args.out)
     return 0 if cert.ok else 1
 
@@ -243,7 +251,7 @@ def _cmd_filler(args) -> int:
     if ctx.line is None:
         raise InputError("the filler pipeline is wired for line specs (lineN)")
     n_points = ctx.space.n_points
-    params = choose_filler_params(formats.parse_fraction(args.eps), args.n)
+    params = choose_filler_params(_finite("--eps", args.eps), args.n)
     coarse = ctx.line.staggered(2 * params.k + 1)
     blocks = ctx.line.blocks((n_points + 1) // 2 if args.n >= 1 else n_points)
     base = build_skeleton_pu(ctx.space, coarse, blocks, 1, args.n, args.diam)

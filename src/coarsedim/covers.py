@@ -26,7 +26,7 @@ class Cover:
     sets: tuple[frozenset[int], ...]
     n_points: int
     allow_empty: bool = False
-    # iterated_star's retained level (level, balls, last gains); False once released
+    # iterated_star's retained level: (level, balls, the points each ball gained last)
     _star_tower = None
 
     def __post_init__(self):
@@ -87,26 +87,32 @@ class Cover:
         return any(not s for s in self.sets)
 
     def normalize(self) -> "Cover":
-        """Drop duplicate elements and elements strictly contained in another.
+        """Drop empty and duplicate elements and elements strictly contained in another.
 
         Keeps first occurrences, preserving index order of the survivors.
         """
-        keep = []
-        for i, s in enumerate(self.sets):
-            redundant = False
-            for j, t in enumerate(self.sets):
-                if j == i:
-                    continue
-                if s < t or (s == t and j < i):
-                    redundant = True
-                    break
-            if not redundant:
-                keep.append(s)
-        return Cover(tuple(keep), self.n_points, self.allow_empty)
+        distinct = [s for s in dict.fromkeys(self.sets) if s]
+        at = _by_vertex(distinct)
+        return Cover(tuple(s for s in distinct if _is_maximal(s, at)),
+                     self.n_points, self.allow_empty)
 
     def _check_point(self, x: int):
         if not isinstance(x, int) or not (0 <= x < self.n_points):
             raise InputError(f"unknown point {x!r}")
+
+
+def _by_vertex(sets) -> dict[int, tuple[frozenset[int], ...]]:
+    """For each point, the given sets that contain it."""
+    at: dict[int, list[frozenset[int]]] = {}
+    for f in sets:
+        for v in f:
+            at.setdefault(v, []).append(f)
+    return {v: tuple(fs) for v, fs in at.items()}
+
+
+def _is_maximal(f: frozenset[int], by_vertex) -> bool:
+    """No set strictly contains the nonempty ``f``; a superset holds each of its points."""
+    return not any(f < g for g in by_vertex[next(iter(f))])
 
 
 @dataclass(frozen=True)
@@ -236,15 +242,13 @@ def star_set(points: Iterable[int], cover: Cover) -> frozenset[int]:
     pts = tuple(points)
     for a in pts:
         cover._check_point(a)
-    return _star_ball(pts, cover, 1)
+    return frozenset(_grow(pts, cover))
 
 
-def _grow(frontier: Iterable[int], cover: Cover, merged: set[int]) -> set[int]:
-    """Union of the elements of ``cover`` meeting ``frontier`` and not yet in ``merged``.
-
-    The elements taken are added to ``merged``, so each is merged at most once.
-    """
+def _grow(frontier: Iterable[int], cover: Cover) -> set[int]:
+    """Union of the elements of ``cover`` meeting ``frontier``, each merged once per call."""
     membership, sets = cover.membership, cover.sets
+    merged: set[int] = set()
     grown: set[int] = set()
     for x in frontier:
         for e in membership[x]:
@@ -252,19 +256,6 @@ def _grow(frontier: Iterable[int], cover: Cover, merged: set[int]) -> set[int]:
                 merged.add(e)
                 grown |= sets[e]
     return grown
-
-
-def _star_ball(points: Iterable[int], cover: Cover, k: int) -> frozenset[int]:
-    """The set starred k times against ``cover``, merging each element at most once."""
-    ball = set(points)
-    gain = ball
-    merged: set[int] = set()
-    for _ in range(k):
-        gain = _grow(gain, cover, merged) - ball
-        if not gain:
-            break
-        ball |= gain
-    return frozenset(ball)
 
 
 def star_cover(cover: Cover, against: Cover) -> Cover:
@@ -287,25 +278,23 @@ def iterated_star(cover: Cover, k: int) -> Cover:
 
     The cover keeps the last level reached, with the points each ball gained
     last, and a call for that level or above continues from it.  A call below
-    it releases the tower for good on this cover and grows each ball from its
-    element, keeping nothing; level 0 leaves the tower as it is.
+    it drops the kept level, grows each ball from its element and keeps the
+    new level instead; level 0 leaves the kept level as it is.
     """
     if k < 0:
         raise InputError("star iteration count must be nonnegative")
     if k == 0:
         return cover
     tower = cover._star_tower
-    if tower is False or (tower is not None and k < tower[0]):
-        object.__setattr__(cover, "_star_tower", False)
-        del tower  # the released level is freed before the new one grows
-        balls = tuple(_star_ball(s, cover, k) for s in cover.sets)
-    else:
-        level, balls, gains = tower or (0, cover.sets, cover.sets)
-        for _ in range(level, k):
-            if not any(gains):
-                break
-            balls, gains = _star_step(balls, gains, cover)
-        object.__setattr__(cover, "_star_tower", (k, balls, gains))
+    if tower is None or k < tower[0]:
+        object.__setattr__(cover, "_star_tower", None)  # free the dropped level first
+        tower = (0, cover.sets, cover.sets)
+    level, balls, gains = tower
+    for _ in range(level, k):
+        if not any(gains):
+            break
+        balls, gains = _star_step(balls, gains, cover)
+    object.__setattr__(cover, "_star_tower", (k, balls, gains))
     return Cover(balls, cover.n_points, cover.allow_empty)
 
 
@@ -318,7 +307,7 @@ def _star_step(balls, gains, cover: Cover):
     next_balls: list[frozenset[int]] = []
     next_gains: list[tuple[int, ...]] = []
     for ball, gain in zip(balls, gains):
-        gain = _grow(gain, cover, set()) - ball
+        gain = _grow(gain, cover) - ball
         if gain:
             ball = ball | gain
         next_balls.append(ball)
@@ -340,7 +329,7 @@ def chain_indices(cover: Cover, region: Iterable[int]) -> list[int | None]:
     n = cover.n_points
     if 2 * len(inside) > n:
         return cover.chain.distances_from(y for y in range(n) if y not in inside)
-    dist = cover.chain.distances_from(_star_ball(inside, cover, 1) - inside, within=inside)
+    dist = cover.chain.distances_from(_grow(inside, cover) - inside, within=inside)
     index: list[int | None] = [0] * n
     for x in inside:
         index[x] = dist[x]

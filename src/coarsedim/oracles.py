@@ -4,11 +4,11 @@ These deliberately avoid the algorithms used by the library proper (multi-
 source BFS, frontier star growth, shared chain-graph rows) so they can serve
 as oracles in randomized comparisons: chain graphs by merging every element
 into each of its points, chain indices by literal endpoint enumeration or path
-search, stars by scanning every element, nerves by checking every index
-subset, variation by measuring every within-element pair, chain diameters by
-a full BFS from every point, the shrinking clauses by checking each one
-point by point, and l1 distances, metric diameters and the metric pair scan
-in Fraction arithmetic.
+search, stars by scanning every element, the maximal elements of a cover by
+comparing every pair, nerves by checking every index subset, variation by
+measuring every within-element pair, chain diameters by a full BFS from every
+point, the shrinking clauses by checking each one point by point, and l1
+distances, metric diameters and the metric pair scan in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -121,6 +121,15 @@ def iterated_star_bruteforce(cover: Cover, k: int) -> Cover:
     for _ in range(k):
         sets = [star_set_bruteforce(s, cover) for s in sets]
     return Cover(tuple(sets), cover.n_points, cover.allow_empty)
+
+
+def normalize_pairwise(cover: Cover) -> Cover:
+    """``Cover.normalize`` by comparing every element with every other."""
+    keep = []
+    for i, s in enumerate(cover.sets):
+        if not any(s < t or (s == t and j < i) for j, t in enumerate(cover.sets) if j != i):
+            keep.append(s)
+    return Cover(tuple(keep), cover.n_points, cover.allow_empty)
 
 
 def variation_all_pairs(values, cover: Cover, distance):

@@ -12,7 +12,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .covers import BoundednessCertificate, Cover, chain_indices, is_uniformly_bounded
+from .covers import (BoundednessCertificate, Cover, _by_vertex, _is_maximal, chain_indices,
+                     is_uniformly_bounded)
 from .errors import ConstructionError, InputError
 
 
@@ -191,20 +192,6 @@ class SimplicialComplex:
                     if len(out) > limit:
                         raise InputError("complex too large for explicit enumeration")
         return frozenset(out)
-
-
-def _by_vertex(sets) -> dict[int, tuple[frozenset[int], ...]]:
-    """For each vertex, the given sets that contain it."""
-    at: dict[int, list[frozenset[int]]] = {}
-    for f in sets:
-        for v in f:
-            at.setdefault(v, []).append(f)
-    return {v: tuple(fs) for v, fs in at.items()}
-
-
-def _is_maximal(f: frozenset[int], by_vertex) -> bool:
-    """No set strictly contains the nonempty ``f``; a superset holds each of its vertices."""
-    return not any(f < g for g in by_vertex[next(iter(f))])
 
 
 def nerve(cover: Cover, d_cap: int) -> SimplicialComplex:

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from coarsedim import (
     BarycentricPoint,
     BlendCase,
+    ConstructionError,
     Cover,
     FillerParams,
+    FiniteCoarseSpace,
     InputError,
     PartitionOfUnity,
     PreconditionError,
@@ -30,12 +32,15 @@ from coarsedim import (
     l1_distance,
     scalar_variation,
     skeletal_retract,
+    star_cover,
     trim_to_cover,
     variation,
 )
+from coarsedim import covers
 from coarsedim.asdim import _nearest_anchor
 from coarsedim.generators import random_cover
-from coarsedim.oracles import nearest_source_all_pairs, star_set_bruteforce
+from coarsedim.oracles import (iterated_star_bruteforce, nearest_source_all_pairs,
+                               star_set_bruteforce)
 
 F = Fraction
 
@@ -130,8 +135,75 @@ def test_skeleton_map_precondition_failure():
     line = gen_line(60)
     space = line.space
     # scale 12 windows are wider than these blocks allow at n=1
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as info:
         build_skeleton_pu(space, space.gauge, line.blocks(5), 11, 1, 60)
+    assert str(info.value) == ("element 12 of the (k+1)-fold star meets 6 witness elements "
+                               "(allowed 2)")
+    assert info.value.witness == check_asdim_pair(
+        iterated_star_bruteforce(space.gauge, 12), line.blocks(5), 1)
+    grid = gen_grid2d(12, 12)
+    with pytest.raises(PreconditionError) as info:
+        build_skeleton_pu(grid.space, grid.space.gauge, grid.bricks(6), 2, 2, 60)
+    assert str(info.value) == ("element 148 of the (k+1)-fold star meets 5 witness elements "
+                               "(allowed 3)")
+    assert info.value.witness == check_asdim_pair(
+        iterated_star_bruteforce(grid.space.gauge, 3), grid.bricks(6), 2)
+
+
+def with_empty(rng, cover):
+    """The cover with an empty element inserted at a random index."""
+    sets = list(cover.sets)
+    sets.insert(rng.randrange(len(sets) + 1), frozenset())
+    return Cover(tuple(sets), cover.n_points, allow_empty=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 10_000), st.integers(0, 4), st.integers(0, 3),
+       st.booleans(), st.booleans())
+def test_k_fold_star_meets_the_starred_witness_as_the_k_plus_1_fold_star_meets_the_witness(
+        n_points, seed, k, n, empties, connected):
+    rng = random.Random(seed)
+    cover = random_cover(rng, n_points, connected=connected)
+    witness = random_cover(rng, n_points)
+    if empties:
+        cover, witness = with_empty(rng, cover), with_empty(rng, witness)
+    want = check_asdim_pair(iterated_star_bruteforce(cover, k + 1), witness, n)
+    assert check_asdim_pair(iterated_star(cover, k), star_cover(witness, cover), n) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 10), st.integers(0, 10_000), st.integers(1, 4), st.integers(0, 3))
+def test_skeleton_precondition_is_the_k_plus_1_fold_star_certificate(n_points, seed, k, n):
+    rng = random.Random(seed)
+    cover = random_cover(rng, n_points, connected=True)
+    witness = random_cover(rng, n_points)
+    space = FiniteCoarseSpace(n_points, cover)
+    want = check_asdim_pair(iterated_star_bruteforce(cover, k + 1), witness, n)
+    if not want.ok:
+        with pytest.raises(PreconditionError) as info:
+            build_skeleton_pu(space, cover, witness, k, n, n_points)
+        assert str(info.value) == (f"element {want.worst_index} of the (k+1)-fold star meets "
+                                   f"{want.max_count} witness elements (allowed {n + 1})")
+        assert info.value.witness == want
+        return
+    try:
+        result = build_skeleton_pu(space, cover, witness, k, n, n_points)
+    except ConstructionError:  # the starred witness may still be too thick
+        return
+    assert result.precondition == want
+
+
+def test_skeleton_and_the_wide_star_share_one_tower(monkeypatch):
+    steps = []
+    step = covers._star_step
+    monkeypatch.setattr(covers, "_star_step",
+                        lambda *args: steps.append(1) or step(*args))
+    grid = gen_grid2d(24, 24)
+    gauge = grid.space.gauge
+    result = build_skeleton_pu(grid.space, gauge, grid.bricks(20), 2, 2, 96)
+    assert result.certificate.ok
+    assert iterated_star(gauge, 2) == iterated_star_bruteforce(gauge, 2)
+    assert len(steps) == 2
 
 
 # --- trimming ----------------------------------------------------------------------

@@ -258,8 +258,18 @@ def test_malformed_fraction_argument_exits_two(capsys):
                  id="cover-bricks-not-a-number"),
     pytest.param(["phi", "--space", "line20", "--cover", "gauge", "--chains", "st:2x"], "'st:2x'",
                  id="chains-st-not-a-number"),
+    pytest.param(["certify", "delta", "--metric", "line2", "--pu", "pu.txt", "--delta", "inf",
+                  "--diam", "1"], "--delta 'inf'", id="certify-delta-infinite-delta"),
+    pytest.param(["certify", "delta", "--metric", "line2", "--pu", "pu.txt", "--delta", "1",
+                  "--diam", "inf"], "--diam 'inf'", id="certify-delta-infinite-diam"),
+    pytest.param(["filler", "--space", "line20", "--n", "1", "--eps", "inf", "--a-end", "5",
+                  "--diam", "19"], "--eps 'inf'", id="filler-infinite-eps"),
+    pytest.param(["gen", "random-geometric", "--n", "5", "--radius", "inf", "--seed", "1"],
+                 "--radius 'inf'", id="gen-infinite-radius"),
 ])
-def test_bad_argument_exits_two_quoting_it(capsys, argv, quote):
+def test_bad_argument_exits_two_quoting_it(tmp_path, monkeypatch, capsys, argv, quote):
+    monkeypatch.chdir(tmp_path)  # a command that wrongly passed would write here
+    (tmp_path / "pu.txt").write_text(PU)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

@@ -37,6 +37,7 @@ from coarsedim.oracles import (
     chain_index_by_enumeration,
     chain_index_by_paths,
     iterated_star_bruteforce,
+    normalize_pairwise,
     shrink_clause_violation,
     star_set_bruteforce,
 )
@@ -106,6 +107,19 @@ def test_multiplicity_counts_indices():
 def test_normalize_drops_duplicates_and_contained():
     c = Cover.of([[0, 1], [0, 1], [0], [0, 1, 2]], 3)
     assert [sorted(s) for s in c.normalize().sets] == [[0, 1, 2]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 10_000), st.booleans(), st.integers(0, 4))
+def test_normalize_matches_pairwise_reference(n, seed, empties, nested):
+    rng = random.Random(seed)
+    sets = list(varied_cover(rng, n, empties, duplicates=True).sets)
+    for _ in range(nested):  # a subset of an element, maybe the element itself
+        s = sorted(rng.choice([s for s in sets if s]))
+        part = frozenset(rng.sample(s, rng.randrange(1, len(s) + 1)))
+        sets.insert(rng.randrange(len(sets) + 1), part)
+    cover = Cover(tuple(sets), n, allow_empty=empties)
+    assert cover.normalize() == normalize_pairwise(cover)
 
 
 # --- refinement -------------------------------------------------------------
@@ -265,7 +279,7 @@ def test_iterated_star_tower_matches_bruteforce_over_k_sequences(n, seed, emptie
         assert iterated_star(cover, k) == iterated_star_bruteforce(cover, k)
 
 
-def test_iterated_star_releases_its_tower_for_good_on_a_smaller_k(monkeypatch):
+def test_iterated_star_keeps_the_level_of_each_call(monkeypatch):
     u = line_cover(30)
     steps = []
     step = covers._star_step
@@ -279,12 +293,10 @@ def test_iterated_star_releases_its_tower_for_good_on_a_smaller_k(monkeypatch):
     assert len(steps) == 5
     iterated_star(u, 0)  # level 0 is the cover itself and leaves the tower alone
     assert u._star_tower[0] == 5
-    assert iterated_star(u, 4) == iterated_star_bruteforce(u, 4)
-    assert u._star_tower is False
-    for k in (6, 2, 7):  # released for good: every level grows from the elements
-        assert iterated_star(u, k) == iterated_star_bruteforce(u, k)
-        assert u._star_tower is False
-    assert len(steps) == 5
+    assert iterated_star(u, 2) == iterated_star_bruteforce(u, 2)  # grows from the elements
+    assert u._star_tower[0] == 2 and len(steps) == 7
+    assert iterated_star(u, 4) == iterated_star_bruteforce(u, 4)  # continues from level 2
+    assert u._star_tower[0] == 4 and len(steps) == 9
     fresh = Cover(u.sets, u.n_points)
     assert fresh._star_tower is None and iterated_star(fresh, 7) == iterated_star(u, 7)
 
