@@ -54,6 +54,8 @@ class AsdimPairCertificate:
 
 def check_asdim_pair(cover: Cover, witness: Cover, n: int) -> AsdimPairCertificate:
     """Pass iff every element of ``cover`` meets at most n+1 elements of ``witness``."""
+    if n < 0:
+        raise InputError(f"dimension n = {n} is negative")
     if cover.n_points != witness.n_points:
         raise InputError("covers are over different point sets")
     counts = []
@@ -82,6 +84,10 @@ def find_witness_bruteforce(space: FiniteCoarseSpace, cover: Cover, n: int,
     members, or None when the family admits no such witness.  A None result
     refutes nothing beyond this candidate family and budget.
     """
+    if n < 0:
+        raise InputError(f"dimension n = {n} is negative")
+    if diameter < 0:
+        raise InputError(f"diameter {diameter} is negative")
     npts = space.n_points
     if npts > BRUTE_FORCE_POINT_LIMIT:
         raise InputError(
@@ -522,7 +528,7 @@ def filler(space: FiniteCoarseSpace, f: PartitionOfUnity, subset, cover: Cover,
     alpha = blend_alpha(region, m, cover)
     retract = skeletal_retract(f, region, m, cover, params.delta, n)
     shrunk = shrink_with_multiplicity(coarse, f.star_preimage_cover())
-    nerve_map = barycentric_map(cover, shrunk, d_cap=max(shrunk.max_multiplicity(), 1) - 1)
+    nerve_map = barycentric_map(cover, shrunk)
 
     # the shrunk family sits inside the star preimages, so the nerve map's
     # carriers are faces of the input map's carriers

@@ -452,6 +452,8 @@ def is_uniformly_bounded(cover: Cover, space, bound) -> BoundednessCertificate:
     A coarse space measures chain diameter in its gauge (an ExtNat), a metric
     space measures metric diameter (a Fraction).
     """
+    if bound < 0:
+        raise InputError(f"diameter bound {bound} is negative")
     if cover.n_points != space.n_points:
         raise InputError("cover is over a different point set than the space")
     worst = space.set_diameter(())

@@ -5,9 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .covers import BoundednessCertificate, Cover, is_uniformly_bounded
 from .errors import InputError, PreconditionError
@@ -20,9 +19,11 @@ TRIANGLE_CHECK_LIMIT = 150
 class FiniteMetricSpace:
     """Points 0..n-1 with exact rational distances.
 
-    The triangle inequality is verified on construction for spaces up to
-    TRIANGLE_CHECK_LIMIT points (O(n^3)); pass ``check_triangle`` to force or
-    skip the check.
+    ``dist`` holds the distances as Fractions.  ``_scaled`` holds them as int
+    numerators over one common denominator, (den, rows), and every comparison
+    of distances reads it.  The triangle inequality is verified on
+    construction for spaces up to TRIANGLE_CHECK_LIMIT points (O(n^3)); pass
+    ``check_triangle`` to force or skip the check.
     """
 
     n_points: int
@@ -32,26 +33,29 @@ class FiniteMetricSpace:
         rows = tuple(tuple(Fraction(d) for d in row) for row in dist)
         if len(rows) != n_points or any(len(r) != n_points for r in rows):
             raise InputError("distance matrix shape does not match the point count")
-        for i in range(n_points):
-            if rows[i][i] != 0:
+        den = lcm(*{d.denominator for row in rows for d in row})
+        ints = tuple(tuple(d.numerator * (den // d.denominator) for d in row) for row in rows)
+        for i, row in enumerate(ints):
+            if row[i] != 0:
                 raise InputError(f"nonzero self-distance at point {i}")
             for j in range(i + 1, n_points):
-                if rows[i][j] != rows[j][i]:
+                if row[j] != ints[j][i]:
                     raise InputError(f"asymmetric distance between {i} and {j}")
-                if rows[i][j] < 0:
+                if row[j] < 0:
                     raise InputError(f"negative distance between {i} and {j}")
         if check_triangle is None:
             check_triangle = n_points <= TRIANGLE_CHECK_LIMIT
         if check_triangle:
-            for i in range(n_points):
-                for j in range(n_points):
-                    dij = rows[i][j]
-                    for k in range(n_points):
-                        if dij > rows[i][k] + rows[k][j]:
-                            raise InputError(
-                                f"triangle inequality fails on ({i}, {j}, {k})")
+            # (i, j, k) fails iff (j, i, k) does, so the first failure has i < j
+            for i, row in enumerate(ints):
+                for j in range(i + 1, n_points):
+                    col = ints[j]  # d(k, j) = d(j, k)
+                    if row[j] > min(map(add, row, col)):
+                        k = next(k for k in range(n_points) if row[j] > row[k] + col[k])
+                        raise InputError(f"triangle inequality fails on ({i}, {j}, {k})")
         object.__setattr__(self, "n_points", n_points)
         object.__setattr__(self, "dist", rows)
+        object.__setattr__(self, "_scaled", (den, ints))
 
     @classmethod
     def line(cls, n: int) -> "FiniteMetricSpace":
@@ -72,13 +76,6 @@ class FiniteMetricSpace:
             raise InputError(f"unknown point in pair ({x}, {y})")
         return self.dist[x][y]
 
-    @cached_property
-    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The distances as int numerators over one common denominator: (den, rows)."""
-        den = lcm(*(d.denominator for row in self.dist for d in row))
-        return den, tuple(tuple(d.numerator * (den // d.denominator) for d in row)
-                          for row in self.dist)
-
     def set_diameter(self, points) -> Fraction:
         """Largest distance between two points of the set (0 for <= 1 point)."""
         pts = sorted(set(points))
@@ -94,10 +91,21 @@ def ball_cover(metric: FiniteMetricSpace, radius) -> Cover:
     radius = Fraction(radius)
     if radius <= 0:
         raise InputError("radius must be positive")
-    n = metric.n_points
-    sets = tuple(frozenset(y for y in range(n) if metric.dist[c][y] <= radius)
-                 for c in range(n))
-    return Cover(sets, n)
+    den, rows = metric._scaled
+    top = radius.numerator * den // radius.denominator  # d <= radius iff d*den <= top
+    return Cover(tuple(frozenset(y for y, e in enumerate(row) if e <= top) for row in rows),
+                 metric.n_points)
+
+
+def _lebesgue_pair(metric: FiniteMetricSpace, delta: Fraction, groups) -> tuple[int, int] | None:
+    """The first pair x < y closer than 1/delta whose groups are disjoint, or None."""
+    den, rows = metric._scaled
+    near = -(-delta.denominator * den // delta.numerator)  # d < 1/delta iff d*den < near
+    for x, row in enumerate(rows):
+        for y in range(x + 1, len(rows)):
+            if row[y] < near and groups[x].isdisjoint(groups[y]):
+                return x, y
+    return None
 
 
 @dataclass(frozen=True)
@@ -128,47 +136,36 @@ def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
         raise InputError("delta must be positive")
     if not f.is_total or f.n_points != metric.n_points:
         raise InputError("the assignment must be total over the metric space")
-    # margin = gap - (delta*d + delta), kept as ints (num, den) with den > 0;
-    # for delta = p/q, gap = g/h and d = e/c it is (g*q*c - p*(e + c)*h) / (h*q*c)
+    # for delta = p/q, gap = g/h and d = e/den the margin gap - (delta*d + delta)
+    # is (g*q*den - p*(e + den)*h) / (h*q*den); all pairs share q*den, so the
+    # margins compare as num/h
     p, q = delta.numerator, delta.denominator
-    lip_ok = True
-    lip_pair = None
-    lip_value = lip_d = Fraction(0)
-    worst_num, worst_den = 0, 0
-    leb_ok = True
-    leb_pair = None
-    for x in range(metric.n_points):
-        fx = f.values[x]
-        row = metric.dist[x]
-        for y in range(x + 1, metric.n_points):
-            d = row[y]
-            e, c = d.numerator, d.denominator
-            gap = l1_distance(fx, f.values[y])
+    den, rows = metric._scaled
+    qd = q * den
+    n = metric.n_points
+    values = f.values
+    worst_num, worst_h, lip_pair, lip_value = 0, 1, None, Fraction(0)
+    for x, row in enumerate(rows):
+        fx = values[x]
+        for y in range(x + 1, n):
+            gap = l1_distance(fx, values[y])
             h = gap.denominator
-            num = gap.numerator * q * c - p * (e + c) * h
-            den = h * q * c
-            if lip_pair is None or num * worst_den > worst_num * den:
-                worst_num, worst_den = num, den
-                lip_pair = (x, y)
-                lip_value = gap
-                lip_d = d
-            if num > 0:
-                lip_ok = False
-            if leb_ok and e * p < q * c:  # d < 1/delta
-                if not (fx.carrier & f.values[y].carrier):
-                    leb_ok = False
-                    leb_pair = (x, y)
+            num = gap.numerator * qd - p * (row[y] + den) * h
+            if lip_pair is None or num * worst_h > worst_num * h:
+                worst_num, worst_h, lip_pair, lip_value = num, h, (x, y), gap
+    lip_d = metric.d(*lip_pair) if lip_pair else 0
+    leb_pair = _lebesgue_pair(metric, delta, [values[x].carrier for x in range(n)])
     bcert = is_uniformly_bounded(f.star_preimage_cover(), metric, diameter_bound)
     return DeltaPUCertificate(
         delta=delta,
-        lipschitz_ok=lip_ok,
+        lipschitz_ok=worst_num <= 0,
         lipschitz_pair=lip_pair,
         lipschitz_value=lip_value,
         lipschitz_allowance=delta * lip_d + delta,
-        lebesgue_ok=leb_ok,
+        lebesgue_ok=leb_pair is None,
         lebesgue_pair=leb_pair,
         boundedness=bcert,
-        ok=lip_ok and leb_ok and bcert.ok,
+        ok=worst_num <= 0 and leb_pair is None and bcert.ok,
     )
 
 
@@ -210,14 +207,10 @@ def comparison_backward(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
         if metric.set_diameter(s) > max_diam:
             raise PreconditionError(
                 f"cover element {i} has metric diameter above 2/delta", witness=i)
-    threshold = 1 / delta
-    for x in range(metric.n_points):
-        for y in range(x + 1, metric.n_points):
-            if metric.dist[x][y] < threshold:
-                if set(cover.membership[x]).isdisjoint(cover.membership[y]):
-                    raise PreconditionError(
-                        f"pair ({x}, {y}) is closer than 1/delta but shares no element",
-                        witness=(x, y))
+    pair = _lebesgue_pair(metric, delta, [frozenset(m) for m in cover.membership])
+    if pair is not None:
+        raise PreconditionError(
+            f"pair {pair} is closer than 1/delta but shares no element", witness=pair)
     gate = certify_pu(f, cover, metric, delta, Fraction(diameter_bound))
     if not gate.ok:
         raise PreconditionError(

@@ -8,7 +8,8 @@ search, stars by scanning every element, the maximal elements of a cover by
 comparing every pair, nerves by checking every index subset, variation by
 measuring every within-element pair, chain diameters by a full BFS from every
 point, the shrinking clauses by checking each one point by point, and l1
-distances, metric diameters and the metric pair scan in Fraction arithmetic.
+distances, metric diameters, the triangle check, ball covers and the metric
+pair scans in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -157,6 +158,36 @@ def set_diameter_fractions(metric, points) -> Fraction:
             if metric.dist[a][b] > best:
                 best = metric.dist[a][b]
     return best
+
+
+def triangle_violation_fractions(dist) -> tuple[int, int, int] | None:
+    """The first (i, j, k) with d(i, j) > d(i, k) + d(k, j), comparing Fraction sums."""
+    n = len(dist)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if dist[i][j] > dist[i][k] + dist[k][j]:
+                    return i, j, k
+    return None
+
+
+def ball_cover_fractions(metric, radius) -> Cover:
+    """One closed ball per point, comparing each Fraction distance with the radius."""
+    radius = Fraction(radius)
+    n = metric.n_points
+    return Cover(tuple(frozenset(y for y in range(n) if metric.dist[c][y] <= radius)
+                       for c in range(n)), n)
+
+
+def lebesgue_pair_fractions(metric, cover: Cover, delta) -> tuple[int, int] | None:
+    """The first pair x < y closer than 1/delta that shares no cover element."""
+    threshold = 1 / Fraction(delta)
+    for x in range(metric.n_points):
+        for y in range(x + 1, metric.n_points):
+            if metric.dist[x][y] < threshold:
+                if set(cover.membership[x]).isdisjoint(cover.membership[y]):
+                    return x, y
+    return None
 
 
 def l1_distance_fractions(a, b) -> Fraction:

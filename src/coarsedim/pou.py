@@ -308,13 +308,15 @@ def _variation_scan(values: dict[int, object], cover: Cover, distance) -> Variat
                 if pair is None or (pa, pb) < pair:
                     least[ck] = (pa, pb)
     best = Fraction(0)
+    best_num, best_den = 0, 1
     best_pair: tuple[int, int] | None = None
     for (ca, cb), pair in least.items():  # each class pair measured once, in scan order
         d = distance(reps[ca], reps[cb])
-        if d > best or (d == best and best > 0 and pair < best_pair):
-            best = d
+        lhs, rhs = d.numerator * best_den, best_num * d.denominator  # d against best
+        if lhs > rhs or (lhs == rhs and best_num > 0 and pair < best_pair):
+            best, best_num, best_den = d, d.numerator, d.denominator
             best_pair = pair
-    if best == 0:
+    if best_num == 0:
         best_pair = zero_pair
     return VariationResult(best, best_pair)
 

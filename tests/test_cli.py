@@ -266,6 +266,22 @@ def test_malformed_fraction_argument_exits_two(capsys):
                   "--diam", "19"], "--eps 'inf'", id="filler-infinite-eps"),
     pytest.param(["gen", "random-geometric", "--n", "5", "--radius", "inf", "--seed", "1"],
                  "--radius 'inf'", id="gen-infinite-radius"),
+    pytest.param(["certify", "pu", "--space", "line2", "--pu", "pu.txt", "--cover", "gauge",
+                  "--eps", "1", "--diam", "-1"], "bound -1", id="certify-pu-negative-diam"),
+    pytest.param(["asdim", "skeleton", "--space", "line30", "--k", "1", "--n", "1",
+                  "--diam", "-1"], "bound -1", id="skeleton-negative-diam"),
+    pytest.param(["asdim", "roundtrip", "--space", "line30", "--k", "1", "--n", "1",
+                  "--diam", "-1"], "bound -1", id="roundtrip-negative-diam"),
+    pytest.param(["filler", "--space", "line60", "--n", "1", "--eps", "1", "--a-end", "10",
+                  "--diam", "-1"], "bound -1", id="filler-negative-diam"),
+    pytest.param(["certify", "delta", "--metric", "line2", "--pu", "pu.txt", "--delta", "1",
+                  "--diam", "-1"], "bound -1", id="certify-delta-negative-diam"),
+    pytest.param(["asdim", "check", "--space", "line10", "--cover-u", "gauge",
+                  "--cover-v", "gauge", "--n", "-1"], "n = -1", id="asdim-check-negative-n"),
+    pytest.param(["oracle", "asdim-witness", "--space", "line6", "--n", "-1", "--diam", "2"],
+                 "n = -1", id="oracle-witness-negative-n"),
+    pytest.param(["oracle", "asdim-witness", "--space", "line6", "--n", "1", "--diam", "-2"],
+                 "diameter -2", id="oracle-witness-negative-diam"),
 ])
 def test_bad_argument_exits_two_quoting_it(tmp_path, monkeypatch, capsys, argv, quote):
     monkeypatch.chdir(tmp_path)  # a command that wrongly passed would write here

@@ -27,9 +27,12 @@ from coarsedim import (
 from coarsedim.formats import dump_pu, load_pu
 from coarsedim.generators import random_cover, random_fraction, random_refinement_pair
 from coarsedim.oracles import (
+    ball_cover_fractions,
     delta_pair_scan_fractions,
     l1_distance_fractions,
+    lebesgue_pair_fractions,
     set_diameter_fractions,
+    triangle_violation_fractions,
     variation_all_pairs,
 )
 
@@ -106,6 +109,54 @@ def test_set_diameter_matches_fraction_pair_scan(n, dim, seed, data):
         got = metric.set_diameter(s)
         assert type(got) is Fraction
         assert got == set_diameter_fractions(metric, s)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 3), st.integers(0, 10_000))
+def test_int_metric_checks_match_fraction_references(n, dim, seed):
+    # rational l1 metrics, then one symmetric entry moved, often past the triangle inequality
+    rng = random.Random(seed)
+    metric = FiniteMetricSpace.from_l1_points(
+        [tuple(random_fraction(rng, -3, 3, 7) for _ in range(dim)) for _ in range(n)])
+    rows = [list(row) for row in metric.dist]
+    if n >= 2:
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] = rows[j][i] = random_fraction(rng, 0, 12 * dim, 7)
+    bad = triangle_violation_fractions(rows)
+    if bad is None:
+        FiniteMetricSpace(n, rows, check_triangle=True)
+    else:
+        with pytest.raises(InputError) as err:
+            FiniteMetricSpace(n, rows, check_triangle=True)
+        assert str(err.value) == "triangle inequality fails on (%d, %d, %d)" % bad
+
+    # ball sets at random radii and at distances of the space, where <= is tight
+    dists = sorted({d for row in metric.dist for d in row if d > 0})
+    radii = [random_fraction(rng, 0, 6 * dim, 7) or F(1, 5) for _ in range(3)]
+    radii += rng.sample(dists, min(2, len(dists)))
+    for r in radii:
+        assert ball_cover(metric, r).sets == ball_cover_fractions(metric, r).sets
+
+    # the backward precheck: element diameters, then the first close pair with no shared element
+    deltas = [random_fraction(rng, 1, 13, 7) / 7]  # inside (0, 2)
+    deltas += [1 / d for d in rng.sample(dists, min(2, len(dists))) if d > F(1, 2)]
+    for delta in deltas:
+        cover = (random_cover(rng, n) if rng.random() < 0.5
+                 else ball_cover(metric, random_fraction(rng, 1, 4 * dim, 5) / 2))
+        too_wide = next((i for i, s in enumerate(cover.sets)
+                         if set_diameter_fractions(metric, s) > 2 / delta), None)
+        pair = lebesgue_pair_fractions(metric, cover, delta)
+        if too_wide is None and pair is None:
+            assert comparison_backward(constant_map(n), metric, delta, 100, cover=cover).ok
+            continue
+        with pytest.raises(PreconditionError) as err:
+            comparison_backward(constant_map(n), metric, delta, 100, cover=cover)
+        if too_wide is not None:
+            assert err.value.witness == too_wide
+            assert str(err.value) == f"cover element {too_wide} has metric diameter above 2/delta"
+        else:
+            assert err.value.witness == pair
+            assert str(err.value) == f"pair {pair} is closer than 1/delta but shares no element"
 
 
 # --- metric certificates --------------------------------------------------------------
