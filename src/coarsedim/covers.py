@@ -226,8 +226,9 @@ def is_refinement(fine: Cover, coarse: Cover) -> RefinementCheck:
         if not s:
             found = 0  # the empty set sits inside everything; least index by convention
         else:
-            x0 = min(s)
-            for j in coarse.membership[x0]:
+            # an element holding s holds each of its points, so any one point's
+            # membership, in ascending order, finds the least such index
+            for j in coarse.membership[next(iter(s))]:
                 if s <= coarse.sets[j]:
                     found = j
                     break
@@ -324,9 +325,10 @@ def chain_indices(cover: Cover, region: Iterable[int]) -> list[int | None]:
     from the whole complement costs less.
     """
     inside = frozenset(region)
-    for x in inside:
-        cover._check_point(x)
     n = cover.n_points
+    for x in inside:
+        if not isinstance(x, int) or not (0 <= x < n):
+            raise InputError(f"unknown point {x!r}")
     if 2 * len(inside) > n:
         return cover.chain.distances_from(y for y in range(n) if y not in inside)
     dist = cover.chain.distances_from(_grow(inside, cover) - inside, within=inside)
@@ -371,7 +373,7 @@ def star_misfit(cover: Cover, k: int, coarse: Cover,
     if inner is None:
         inner = [interior(cover, s, k) for s in coarse.sets]
     for t, s in enumerate(cover.sets):
-        if s and not any(s <= inner[j] for j in coarse.membership[min(s)]):
+        if s and not any(s <= inner[j] for j in coarse.membership[next(iter(s))]):
             return t
     return None
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from fractions import Fraction
+from math import gcd
 
 from .covers import Cover, FiniteCoarseSpace
 from .errors import InputError
@@ -121,18 +122,24 @@ def dump_pu(f: PartitionOfUnity) -> str:
     lines = ["partition-of-unity", f"points {f.n_points}",
              "vertices " + " ".join(str(v) for v in f.vertices)]
     for x in range(f.n_points):
-        for v, w in sorted(f.values[x].weights.items()):
-            lines.append(f"value {x} {v} {w.numerator} {w.denominator}")
+        bp = f.values[x]
+        den = bp.den
+        for v, n in sorted(bp.num.items()):
+            g = gcd(n, den)  # the reduction Fraction(n, den) would make
+            lines.append(f"value {x} {v} {n // g} {den // g}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
 
 def load_pu(text: str) -> PartitionOfUnity:
     head, n, body = _read(text, ("partition-of-unity",), 3)
-    if not head[2].startswith("vertices"):
+    tok = head[2].split()
+    if tok[0] != "vertices":
         raise InputError(f"missing vertices line, got {head[2]!r}")
-    vertices = tuple(_ints(head[2].split()[1:], head[2]))
+    vertices = tuple(_ints(tok[1:], head[2]))
     known = set(vertices)
+    if len(known) != len(vertices):
+        raise InputError(f"repeated vertex id in {head[2]!r}")
     weights: dict[int, dict[int, Fraction]] = {}
     for ln in body:
         tok = ln.split()

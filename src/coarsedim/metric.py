@@ -60,7 +60,7 @@ class FiniteMetricSpace:
     @classmethod
     def line(cls, n: int) -> "FiniteMetricSpace":
         """0..n-1 with unit spacing."""
-        rows = [[Fraction(abs(i - j)) for j in range(n)] for i in range(n)]
+        rows = [[abs(i - j) for j in range(n)] for i in range(n)]
         return cls(n, rows, check_triangle=False)
 
     @classmethod

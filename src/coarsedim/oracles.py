@@ -7,9 +7,10 @@ into each of its points, chain indices by literal endpoint enumeration or path
 search, stars by scanning every element, the maximal elements of a cover by
 comparing every pair, nerves by checking every index subset, variation by
 measuring every within-element pair, chain diameters by a full BFS from every
-point, the shrinking clauses by checking each one point by point, and l1
-distances, metric diameters, the triangle check, ball covers and the metric
-pair scans in Fraction arithmetic.
+point, the shrinking clauses by checking each one point by point,
+refinements by scanning every coarse element, and l1 distances, metric
+diameters, the triangle check, ball covers, the metric pair scans and the map
+file's weights in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -107,6 +108,21 @@ def nearest_source_all_pairs(cover: Cover, sources) -> tuple[list, list]:
             [s if dx < n else None for dx, s in nearest])
 
 
+def refinement_by_scan(fine: Cover, coarse: Cover) -> tuple[tuple[int, ...] | None, int | None]:
+    """(assignment, counterexample) of ``is_refinement`` by scanning every coarse element.
+
+    Each fine element gets the least index of a coarse element holding it (0
+    for an empty one); the counterexample is the first fine element held by none.
+    """
+    assignment = []
+    for t, s in enumerate(fine.sets):
+        j = next((j for j, c in enumerate(coarse.sets) if s <= c), None)
+        if j is None:
+            return None, t
+        assignment.append(j)
+    return tuple(assignment), None
+
+
 def star_set_bruteforce(points, cover: Cover) -> frozenset[int]:
     region = frozenset(points)
     out: set[int] = set()
@@ -196,6 +212,17 @@ def l1_distance_fractions(a, b) -> Fraction:
     for v in a.carrier | b.carrier:
         total += abs(a.weight(v) - b.weight(v))
     return total
+
+
+def dump_pu_fractions(f) -> str:
+    """The map file of a total assignment, each weight written from its reduced Fraction."""
+    lines = ["partition-of-unity", f"points {f.n_points}",
+             "vertices " + " ".join(str(v) for v in f.vertices)]
+    for x in range(f.n_points):
+        for v, w in sorted(f.values[x].weights.items()):
+            lines.append(f"value {x} {v} {w.numerator} {w.denominator}")
+    lines.append("end")
+    return "\n".join(lines) + "\n"
 
 
 def delta_pair_scan_fractions(f, metric, delta) -> dict:

@@ -41,12 +41,17 @@ class BarycentricPoint:
 
     @classmethod
     def _from_ints(cls, num: dict[int, int], den: int) -> "BarycentricPoint":
-        """The point with weights ``num[v] / den`` for a positive ``den``."""
-        for v, n in num.items():
-            if n < 0:
-                raise InputError(f"negative weight {Fraction(n, den)} at vertex {v}")
+        """The point with weights ``num[v] / den`` for a positive ``den``.
+
+        The point may keep ``num`` itself, so the caller must not change it afterwards.
+        """
+        if num and min(num.values()) <= 0:
+            for v, n in num.items():
+                if n < 0:
+                    raise InputError(f"negative weight {Fraction(n, den)} at vertex {v}")
+            num = {v: n for v, n in num.items() if n}
         point = cls.__new__(cls)
-        point._set({v: n for v, n in num.items() if n}, den)
+        point._set(num, den)
         return point
 
     def _set(self, num: dict[int, int], den: int) -> None:
@@ -366,8 +371,8 @@ def barycentric_map(chain_cover: Cover, target_cover: Cover, d_cap: int | None =
         # inside it is at least 1, so the carrier is the membership or its infinite part
         own = target_cover.membership[x]
         ixs = {s: index_of_element[s][x] for s in own}
-        infinite = tuple(s for s, ix in ixs.items() if ix is None)
-        if infinite:
+        if None in ixs.values():
+            infinite = tuple(s for s, ix in ixs.items() if ix is None)
             point = BarycentricPoint._from_ints(dict.fromkeys(infinite, 1), len(infinite))
             own = infinite
         else:
@@ -441,6 +446,8 @@ def certify_pu(f: PartitionOfUnity, cover: Cover, space, eps: Fraction | None,
     ``space.set_diameter`` against ``diameter_bound``: chain diameter in the
     gauge of a FiniteCoarseSpace, metric diameter in a FiniteMetricSpace.
     """
+    if eps is not None and eps <= 0:
+        raise InputError(f"eps must be positive, got {eps}")
     if not f.is_total:
         raise InputError("certification needs a total assignment")
     var = variation(f, cover)

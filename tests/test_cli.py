@@ -208,6 +208,13 @@ MISSING = None  # no file is written for this argument
     pytest.param({"metric": "metric-space\npoints 3\ndistance 0 1 1 1\ndistance 1 2 1 1\nend\n",
                   "pu": PU.replace("points 2", "points 3").replace("end", "value 2 1 1 1\nend")},
                  "pair (0, 2)", id="metric-missing-pair"),
+    pytest.param({"space": "line2", "pu": PU.replace("vertices 0 1", "vertices0 1")},
+                 "missing vertices line, got 'vertices0 1'", id="vertices-header-glued"),
+    pytest.param({"space": "line2", "pu": PU.replace("vertices 0 1", "verticesX 0 1")},
+                 "missing vertices line, got 'verticesX 0 1'",
+                 id="vertices-header-misspelled"),
+    pytest.param({"space": "line2", "pu": PU.replace("vertices 0 1", "vertices 0 0 1")},
+                 "repeated vertex id in 'vertices 0 0 1'", id="vertices-repeated"),
     pytest.param({"space": "line2", "pu": MISSING}, "pu.txt", id="missing-pu"),
     pytest.param({"space": MISSING, "pu": PU}, "space.txt", id="missing-space"),
     pytest.param({"metric": MISSING, "pu": PU}, "metric.txt", id="missing-metric"),
@@ -268,6 +275,15 @@ def test_malformed_fraction_argument_exits_two(capsys):
                  "--radius 'inf'", id="gen-infinite-radius"),
     pytest.param(["certify", "pu", "--space", "line2", "--pu", "pu.txt", "--cover", "gauge",
                   "--eps", "1", "--diam", "-1"], "bound -1", id="certify-pu-negative-diam"),
+    pytest.param(["certify", "pu", "--space", "line2", "--pu", "pu.txt", "--cover", "gauge",
+                  "--eps", "0", "--diam", "1"], "eps must be positive, got 0",
+                 id="certify-pu-zero-eps"),
+    pytest.param(["certify", "pu", "--space", "line2", "--pu", "pu.txt", "--cover", "gauge",
+                  "--eps", "-1", "--diam", "1"], "eps must be positive, got -1",
+                 id="certify-pu-negative-eps"),
+    pytest.param(["certify", "pu", "--space", "line2", "--pu", "pu.txt", "--cover", "gauge",
+                  "--eps", "1/-2", "--diam", "1"], "eps must be positive, got -1/2",
+                 id="certify-pu-negative-fraction-eps"),
     pytest.param(["asdim", "skeleton", "--space", "line30", "--k", "1", "--n", "1",
                   "--diam", "-1"], "bound -1", id="skeleton-negative-diam"),
     pytest.param(["asdim", "roundtrip", "--space", "line30", "--k", "1", "--n", "1",

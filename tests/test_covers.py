@@ -38,6 +38,7 @@ from coarsedim.oracles import (
     chain_index_by_paths,
     iterated_star_bruteforce,
     normalize_pairwise,
+    refinement_by_scan,
     shrink_clause_violation,
     star_set_bruteforce,
 )
@@ -143,6 +144,33 @@ def test_refinement_failure_carries_counterexample():
     v = Cover.of([[0], [1]], 2)
     chk = is_refinement(u, v)
     assert not chk.ok and chk.counterexample == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 10_000), st.booleans(), st.booleans(),
+       st.booleans(), st.data())
+def test_refinement_matches_scan_of_every_coarse_element(n, seed, paired, empties, duplicates,
+                                                          data):
+    rng = random.Random(seed)
+    if paired:  # a coarsening, with repeated coarse elements and an empty fine one when asked
+        fine, coarse = random_refinement_pair(rng, n)
+        sets = list(coarse.sets)
+        if duplicates:
+            for _ in range(3):
+                sets.insert(rng.randrange(len(sets) + 1), rng.choice(sets))
+        coarse = Cover(tuple(sets), n)
+        if empties:
+            fine = Cover(fine.sets + (frozenset(),), n, allow_empty=True)
+    else:
+        fine = varied_cover(rng, n, empties, duplicates)
+        coarse = varied_cover(rng, n, rng.random() < 0.3, rng.random() < 0.3)
+    chk = is_refinement(fine, coarse)
+    assignment, counterexample = refinement_by_scan(fine, coarse)
+    assert (chk.ok, chk.assignment, chk.counterexample) == (
+        counterexample is None, assignment, counterexample)
+    k = data.draw(st.integers(0, n + 1))
+    want = refinement_by_scan(iterated_star_bruteforce(fine, k), coarse)[1]
+    assert star_misfit(fine, k, coarse) == want
 
 
 def test_refinement_rejects_mismatched_spaces():

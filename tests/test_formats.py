@@ -4,12 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsedim import (
+    BarycentricPoint,
     Cover,
     ExtNat,
     INFINITY,
     InputError,
+    PartitionOfUnity,
     barycentric_map,
     certify_pu,
     gen_line,
@@ -30,6 +34,7 @@ from coarsedim.formats import (
     parse_fraction,
 )
 from coarsedim.generators import random_cover
+from coarsedim.oracles import dump_pu_fractions
 
 F = Fraction
 
@@ -58,6 +63,29 @@ def test_pu_round_trip():
     pu = barycentric_map(line.space.gauge, line.staggered(3))
     loaded = load_pu(dump_pu(pu))
     assert loaded == pu  # equality covers values, point count, and vertices
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10_000),
+       st.lists(st.integers(1, 10**15), min_size=1, max_size=5), st.integers(2, 10**12))
+def test_dump_pu_matches_fraction_writer_and_loads_back(n, seed, raw, q):
+    """Nerve maps, blends at a large denominator q and large raw numerators over their sum."""
+    rng = random.Random(seed)
+    pu = barycentric_map(random_cover(rng, n), random_cover(rng, n))
+    values = dict(pu.values)
+    for x in range(n):
+        kind = rng.randrange(3)
+        if kind == 1:
+            other = pu.values[rng.randrange(n)]
+            values[x] = values[x].blend(other, F(rng.randrange(1, q), q))
+        elif kind == 2:
+            verts = rng.sample(pu.vertices, min(len(raw), len(pu.vertices)))
+            nums = raw[:len(verts)]
+            values[x] = BarycentricPoint._from_ints(dict(zip(verts, nums)), sum(nums))
+    f = PartitionOfUnity(values, n, pu.vertices)
+    text = dump_pu(f)
+    assert text == dump_pu_fractions(f)
+    assert load_pu(text) == f
 
 
 def test_metric_round_trip():

@@ -80,13 +80,35 @@ def test_weight_error_messages():
         (lambda: BarycentricPoint({0: F(1, 2), 1: F(1, 3)}), "weights sum to 5/6, need exactly 1"),
         (lambda: BarycentricPoint({}), "weights sum to 0, need exactly 1"),
         (lambda: BarycentricPoint._from_ints({0: 3, 1: -1}, 2), "negative weight -1/2 at vertex 1"),
+        (lambda: BarycentricPoint._from_ints({3: 4, 1: -1, 0: -2}, 1),
+         "negative weight -1 at vertex 1"),  # the first negative weight in dict order
         (lambda: BarycentricPoint._from_ints({0: 1, 1: 1}, 3),
          "weights sum to 2/3, need exactly 1"),
+        (lambda: BarycentricPoint._from_ints({0: 0}, 1), "weights sum to 0, need exactly 1"),
     ]
     for build, message in cases:
         with pytest.raises(InputError) as err:
             build()
         assert str(err.value) == message
+    p = BarycentricPoint._from_ints({0: 2, 1: 0, 2: 1}, 3)
+    assert (p.num, p.den, p.carrier) == ({0: 2, 2: 1}, 3, frozenset({0, 2}))
+
+
+@given(st.dictionaries(st.integers(0, 6), st.integers(-3, 6), max_size=5),
+       st.integers(1, 12), st.booleans())
+def test_points_from_ints_match_the_fraction_constructor(num, den, unit_sum):
+    """``_from_ints`` raises the message the Fraction constructor raises, or builds its point."""
+    if unit_sum and sum(num.values()) > 0:
+        den = sum(num.values())
+    try:
+        want = BarycentricPoint({v: F(n, den) for v, n in num.items()})
+    except InputError as err:
+        with pytest.raises(InputError) as got:
+            BarycentricPoint._from_ints(dict(num), den)
+        assert str(got.value) == str(err)
+    else:
+        got = BarycentricPoint._from_ints(dict(num), den)
+        assert (got.num, got.den, got.carrier) == (want.num, want.den, want.carrier)
 
 
 def test_blend_is_exact():
