@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .covers import Cover, FiniteCoarseSpace
 from .errors import InputError
@@ -140,7 +140,7 @@ def load_pu(text: str) -> PartitionOfUnity:
     known = set(vertices)
     if len(known) != len(vertices):
         raise InputError(f"repeated vertex id in {head[2]!r}")
-    weights: dict[int, dict[int, Fraction]] = {}
+    weights: dict[int, dict[int, tuple[int, int]]] = {}  # each weight as (num, den)
     for ln in body:
         tok = ln.split()
         if len(tok) != 5 or tok[0] != "value":
@@ -151,8 +151,15 @@ def load_pu(text: str) -> PartitionOfUnity:
         row = weights.setdefault(x, {})
         if v in row:
             raise InputError(f"duplicate value line for point {x}, vertex {v}: {ln!r}")
-        row[v] = _fraction(num, den, ln)
-    values = {x: BarycentricPoint(w) for x, w in weights.items()}
+        if den == 0:
+            raise InputError(f"zero denominator in {ln!r}")
+        row[v] = (num, den)
+    values = {}
+    for x, row in weights.items():
+        # the lcm is positive, so den // q carries the sign of q; _from_ints reduces the point
+        den = lcm(*(q for _, q in row.values()))
+        values[x] = BarycentricPoint._from_ints({v: p * (den // q) for v, (p, q) in row.items()},
+                                                den)
     return PartitionOfUnity(values, n, vertices)
 
 
@@ -218,7 +225,10 @@ def _parse_points(line: str) -> int:
     tok = line.split()
     if len(tok) != 2 or tok[0] != "points":
         raise InputError(f"expected a points line, got {line!r}")
-    return _ints(tok[1:], line)[0]
+    n = _ints(tok[1:], line)[0]
+    if n < 1:
+        raise InputError(f"point count below 1 in {line!r}")
+    return n
 
 
 def _parse_element(line: str, keyword: str, expect_index: int, n: int) -> frozenset[int]:

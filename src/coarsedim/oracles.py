@@ -6,11 +6,12 @@ as oracles in randomized comparisons: chain graphs by merging every element
 into each of its points, chain indices by literal endpoint enumeration or path
 search, stars by scanning every element, the maximal elements of a cover by
 comparing every pair, nerves by checking every index subset, variation by
-measuring every within-element pair, chain diameters by a full BFS from every
-point, the shrinking clauses by checking each one point by point,
-refinements by scanning every coarse element, and l1 distances, metric
-diameters, the triangle check, ball covers, the metric pair scans and the map
-file's weights in Fraction arithmetic.
+measuring every within-element pair, the coarsening witnesses by intersecting
+the carrier of every point, chain diameters by a full BFS from every point,
+the shrinking clauses by checking each one point by point, refinements by
+scanning every coarse element, and l1 distances, metric diameters, the
+triangle check, ball covers, the metric pair scans and the map file's weights
+in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -163,6 +164,25 @@ def variation_all_pairs(values, cover: Cover, distance):
     if not best:
         best_pair = pairs[0] if pairs else None
     return best, best_pair
+
+
+def coarsening_by_points(f, cover: Cover):
+    """(witnesses, first failing index) of the coarsening condition, point by point.
+
+    Each element intersects the carrier of every one of its points in
+    ascending order, with no early stop; a point with no value raises.
+    """
+    witnesses = []
+    failure = None
+    for i, s in enumerate(cover.sets):
+        common = None
+        for p in sorted(s):
+            carrier = f.value(p).carrier
+            common = set(carrier) if common is None else common & carrier
+        witnesses.append(min(common) if common else None)
+        if common is not None and not common and failure is None:
+            failure = i
+    return tuple(witnesses), failure
 
 
 def set_diameter_fractions(metric, points) -> Fraction:

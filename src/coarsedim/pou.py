@@ -288,41 +288,62 @@ def _variation_scan(values: dict[int, object], cover: Cover, distance) -> Variat
     """Max distance between value classes over within-element pairs.
 
     Each distinct value gets an int class id, and its first value object
-    stands for the class; within an element only the least point of each
-    class takes part.  The witness is the lexicographically least attaining pair.
+    stands for the class.  Elements with the same set of classes are read
+    once, and each class pair that shares an element is measured once.  The
+    witness is the lexicographically least within-element pair of points
+    whose class pair attains the maximum.
     """
     ids: dict[object, int] = {}
     cls = {x: ids.setdefault(v, len(ids)) for x, v in values.items()}
     reps = list(ids)
-    least: dict[tuple[int, int], tuple[int, int]] = {}  # class pair -> least point pair
-    zero_pair: tuple[int, int] | None = None
-    for s in cover.sets:
-        if len(s) < 2:
-            continue
-        pts = sorted(s)
-        if zero_pair is None or (pts[0], pts[1]) < zero_pair:
-            zero_pair = (pts[0], pts[1])
-        first: dict[int, int] = {}
-        for p in pts:
-            first.setdefault(cls[p], p)
-        items = list(first.items())  # ascending by point
-        for i, (ca, pa) in enumerate(items):
-            for cb, pb in items[i + 1:]:
-                ck = (ca, cb) if ca < cb else (cb, ca)
-                pair = least.get(ck)
-                if pair is None or (pa, pb) < pair:
-                    least[ck] = (pa, pb)
+    of = cls.__getitem__
+    pairs: dict[tuple[int, int], None] = {}  # first-seen order keeps the reads of reps local
+    meets: dict[int, set[int]] = {}  # per class, the classes it meets in a 3+ class set
+    for cs in dict.fromkeys(frozenset(map(of, s)) for s in cover.sets):
+        if len(cs) == 2:
+            a, b = cs
+            pairs[(a, b) if a < b else (b, a)] = None
+        elif len(cs) > 2:
+            for c in cs:
+                m = meets.get(c)
+                if m is None:
+                    meets[c] = set(cs)
+                else:
+                    m |= cs
+    for a, m in meets.items():
+        for b in m:
+            if a < b:
+                pairs[(a, b)] = None
     best = Fraction(0)
     best_num, best_den = 0, 1
-    best_pair: tuple[int, int] | None = None
-    for (ca, cb), pair in least.items():  # each class pair measured once, in scan order
+    top: set[tuple[int, int]] = set()  # the class pairs at the best value
+    for ca, cb in pairs:  # each class pair measured once
         d = distance(reps[ca], reps[cb])
         lhs, rhs = d.numerator * best_den, best_num * d.denominator  # d against best
-        if lhs > rhs or (lhs == rhs and best_num > 0 and pair < best_pair):
+        if lhs > rhs:
             best, best_num, best_den = d, d.numerator, d.denominator
+            top = {(ca, cb)}
+        elif lhs == rhs and best_num > 0:
+            top.add((ca, cb))
+    top_classes = {c for pair in top for c in pair}
+    best_pair: tuple[int, int] | None = None
+    for s in cover.sets:
+        if len(s) < 2 or best_pair is not None and min(s) > best_pair[0]:
+            continue  # every pair of s starts above the witness
+        if top and len(top_classes.intersection(map(of, s))) < 2:
+            continue  # s holds no top class pair
+        pts = sorted(s)
+        if not top:  # every pair is at 0
+            pair = (pts[0], pts[1])
+        else:
+            first: dict[int, int] = {}
+            for p in pts:
+                first.setdefault(cls[p], p)
+            items = list(first.items())  # ascending by point, so the first hit is least
+            pair = next(((pa, pb) for i, (ca, pa) in enumerate(items) for cb, pb in items[i + 1:]
+                         if ((ca, cb) if ca < cb else (cb, ca)) in top), None)
+        if pair is not None and (best_pair is None or pair < best_pair):
             best_pair = pair
-    if best_num == 0:
-        best_pair = zero_pair
     return VariationResult(best, best_pair)
 
 
@@ -395,20 +416,21 @@ def coarsening_witnesses(f: PartitionOfUnity, cover: Cover):
     """Per element, the least vertex positive on all of it; None where there is none.
 
     Returns (witnesses, first_failing_index_or_None).  Empty elements pass
-    vacuously with witness None.
+    vacuously with witness None.  Each distinct carrier of an element is
+    intersected once; ``barycentric_map`` shares one frozenset per carrier.
     """
+    values = f.values
     witnesses: list[int | None] = []
     failure = None
     for i, s in enumerate(cover.sets):
         if not s:
             witnesses.append(None)
             continue
-        pts = sorted(s)
-        common = set(f.value(pts[0]).carrier)
-        for p in pts[1:]:
-            common &= f.value(p).carrier
-            if not common:
-                break
+        try:
+            common = frozenset.intersection(*{values[x].carrier for x in s})
+        except KeyError:
+            missing = min(x for x in s if x not in values)
+            raise InputError(f"no value assigned to point {missing}") from None
         if common:
             witnesses.append(min(common))
         else:

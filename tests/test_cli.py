@@ -215,6 +215,12 @@ MISSING = None  # no file is written for this argument
                  id="vertices-header-misspelled"),
     pytest.param({"space": "line2", "pu": PU.replace("vertices 0 1", "vertices 0 0 1")},
                  "repeated vertex id in 'vertices 0 0 1'", id="vertices-repeated"),
+    pytest.param({"space": "line2", "pu": PU.replace("points 2", "points -1")},
+                 "point count below 1 in 'points -1'", id="pu-negative-point-count"),
+    pytest.param({"metric": "metric-space\npoints 0\nend\n", "pu": PU},
+                 "point count below 1 in 'points 0'", id="metric-zero-point-count"),
+    pytest.param({"metric": METRIC.replace("points 2", "points -2"), "pu": PU},
+                 "point count below 1 in 'points -2'", id="metric-negative-point-count"),
     pytest.param({"space": "line2", "pu": MISSING}, "pu.txt", id="missing-pu"),
     pytest.param({"space": MISSING, "pu": PU}, "space.txt", id="missing-space"),
     pytest.param({"metric": MISSING, "pu": PU}, "metric.txt", id="missing-metric"),

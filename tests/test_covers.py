@@ -606,6 +606,29 @@ def test_chain_diameter_matches_all_pairs_oracle(n, seed, connected, cycle):
     assert (cert.max_diameter, cert.witness, cert.ok) == bounded_by_oracle(cover, space, bound)
 
 
+def test_coarse_space_measures_each_set_once(bfs_calls):
+    # a second certificate on the same space reads every diameter it measured;
+    # a new space over the same gauge measures them again
+    rng = random.Random(59)
+    for _ in range(40):
+        n = rng.randrange(1, 16)
+        gauge = random_cover(rng, n, connected=rng.random() < 0.7)
+        space = FiniteCoarseSpace(n, gauge)
+        subsets = [frozenset(x for x in range(n) if rng.random() < 0.5) for _ in range(5)]
+        cover = Cover(tuple(subsets) + gauge.sets, n, allow_empty=True)
+        bound = rng.randrange(0, n + 1)
+        expected = [chain_diameter_all_pairs(s, gauge.chain) for s in cover.sets]
+        first = is_uniformly_bounded(cover, space, bound)
+        assert [space.set_diameter(s) for s in cover.sets] == expected
+        bfs_calls.clear()
+        assert is_uniformly_bounded(cover, space, bound) == first
+        assert [space.set_diameter(s) for s in cover.sets] == expected
+        assert bfs_calls == []
+        again = FiniteCoarseSpace(n, Cover(gauge.sets, n))
+        assert is_uniformly_bounded(cover, again, bound) == first
+        assert bool(bfs_calls) == any(len(s) > 1 for s in cover.sets)
+
+
 def test_uniformly_bounded_measures_each_distinct_set_once(monkeypatch):
     calls = []
     measure = FiniteCoarseSpace.set_diameter

@@ -1,6 +1,7 @@
 """Serialization: text formats and tagged JSON documents round-trip losslessly."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -155,3 +156,42 @@ DUPLICATE_VALUE_PU = ("partition-of-unity\npoints 2\nvertices 0 1\n"
 def test_load_pu_rejects_duplicate_value_line():
     with pytest.raises(InputError, match="'value 0 0 1 2'"):
         load_pu(DUPLICATE_VALUE_PU)
+
+
+@pytest.mark.parametrize("values, message", [
+    pytest.param("value 0 0 1 2\nvalue 0 1 1 0\n", "zero denominator in 'value 0 1 1 0'",
+                 id="zero-denominator"),
+    pytest.param("value 0 0 6 4\nvalue 0 1 2 -4\nvalue 0 2 -3 6\n",
+                 "negative weight -1/2 at vertex 1", id="first-negative-reduced"),
+    pytest.param("value 0 0 -4 -6\nvalue 0 1 2 4\n", "weights sum to 7/6, need exactly 1",
+                 id="bad-sum"),
+    pytest.param("value 0 0 0 -3\nvalue 0 1 0 5\n", "weights sum to 0, need exactly 1",
+                 id="all-zero"),
+])
+def test_load_pu_weight_messages(values, message):
+    text = "partition-of-unity\npoints 1\nvertices 0 1 2\n" + values + "end\n"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        load_pu(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(-3, 9), st.sampled_from([1, 2, 3, -4, 6, 9])),
+                         min_size=1, max_size=3), min_size=1, max_size=3))
+def test_load_pu_matches_points_built_from_fractions(rows):
+    # each weight is read as ints over the lcm of the reduced denominators; the
+    # points and the messages are those of the Fraction constructor
+    lines = [f"value {x} {v} {num} {den}" for x, row in enumerate(rows)
+             for v, (num, den) in enumerate(row)]
+    text = (f"partition-of-unity\npoints {len(rows)}\nvertices 0 1 2\n"
+            + "\n".join(lines) + "\nend\n")
+    try:
+        expected = {x: BarycentricPoint({v: F(num, den) for v, (num, den) in enumerate(row)})
+                    for x, row in enumerate(rows)}
+    except InputError as e:
+        with pytest.raises(InputError, match=f"^{re.escape(str(e))}$"):
+            load_pu(text)
+    else:
+        loaded = load_pu(text)
+        assert loaded.values == expected
+        assert all((bp.num, bp.den) == (expected[x].num, expected[x].den)
+                   for x, bp in loaded.values.items())

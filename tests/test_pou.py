@@ -1,6 +1,7 @@
 """Barycentric points, nerves, variation, and the certificate conditions."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,11 @@ from coarsedim import (
     BarycentricPoint,
     Cover,
     InputError,
+    PartitionOfUnity,
     barycentric_map,
     certify_pu,
     coarsening_witnesses,
+    gen_grid2d,
     gen_line,
     is_refinement,
     iterated_star,
@@ -28,6 +31,7 @@ from coarsedim.formats import load_pu
 from coarsedim.generators import random_cover, random_fraction, random_refinement_pair
 from coarsedim.oracles import (
     chain_index_by_enumeration,
+    coarsening_by_points,
     nerve_simplices_bruteforce,
     variation_all_pairs,
 )
@@ -382,6 +386,47 @@ def test_variation_measures_each_class_pair_once(monkeypatch):
     assert (res.value, res.pair) == variation_all_pairs(f.values, cover, l1_distance)
 
 
+def wide_cover(rng, n, grid):
+    """Stars of a grid gauge, or random intervals of a line, under relabelled points."""
+    if grid:
+        g = gen_grid2d(rng.randrange(2, 7), rng.randrange(2, 7))
+        n = g.space.n_points
+        sets = iterated_star(g.space.gauge, rng.randrange(1, 3)).sets
+    else:
+        sets = []
+        for _ in range(rng.randrange(1, 8)):
+            a = rng.randrange(n)
+            sets.append(range(a, min(n, a + rng.randrange(1, n + 1))))
+        covered = set().union(*sets)
+        sets += [[x] for x in range(n) if x not in covered]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Cover.of([[perm[x] for x in s] for s in sets], n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 10_000), st.integers(2, 3), st.booleans(),
+       st.booleans())
+def test_variation_over_wide_elements_matches_all_pairs_oracle(n, seed, n_classes, grid,
+                                                               vertices):
+    # few value classes over wide elements: many elements share one class set,
+    # and many class pairs tie at the top
+    rng = random.Random(seed)
+    cover = wide_cover(rng, n, grid)
+    n = cover.n_points
+    if vertices:
+        pool = [BarycentricPoint.vertex(v) for v in range(n_classes)]
+    else:
+        pool = [BarycentricPoint({0: F(a, 4), 1: F(4 - a, 4)}) for a in rng.sample(range(5), n_classes)]
+    f = PartitionOfUnity({x: rng.choice(pool) for x in range(n)}, n, (0, 1, 2))
+    res = variation(f, cover)
+    assert (res.value, res.pair) == variation_all_pairs(f.values, cover, l1_distance)
+    scalars = [rng.randrange(3) for _ in range(n_classes)]
+    vals = [rng.choice(scalars) for _ in range(n)]
+    res = scalar_variation(vals, cover)
+    assert (res.value, res.pair) == variation_all_pairs(vals, cover, lambda a, b: abs(a - b))
+
+
 # --- quotient bound ---------------------------------------------------------------
 
 def test_quotient_bound_values():
@@ -428,6 +473,43 @@ def test_certify_condition_b_for_refining_pairs():
         for i, s in enumerate(fine.sets):
             v = witnesses[i]
             assert all(pu.values[x].weight(v) > 0 for x in s)
+
+
+def test_coarsening_witnesses_of_a_partial_map_name_the_missing_point():
+    # the intersection is empty after points 0 and 1, and points from 2 on have no value
+    values = {0: BarycentricPoint.vertex(0), 1: BarycentricPoint.vertex(1)}
+    for n in (3, 5):
+        f = PartitionOfUnity(values, n, (0, 1))
+        with pytest.raises(InputError, match="^no value assigned to point 2$"):
+            coarsening_witnesses(f, Cover.of([range(n)], n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 10_000), st.booleans(), st.booleans(),
+       st.booleans())
+def test_coarsening_witnesses_match_point_by_point_oracle(n, seed, refining, partial, empties):
+    rng = random.Random(seed)
+    fine, coarse = random_refinement_pair(rng, n)
+    f = barycentric_map(fine, coarse)
+    sets = list((fine if refining else random_cover(rng, n)).sets)
+    if empties:
+        sets.insert(rng.randrange(len(sets) + 1), frozenset())
+    cover = Cover(tuple(sets), n, allow_empty=empties)
+    if partial:
+        # drop the last point of the first failing element, past an empty intersection
+        failing = coarsening_by_points(f, cover)[1]
+        if failing is None:
+            failing = rng.choice([i for i, s in enumerate(sets) if s])
+        dropped = {max(sets[failing])} | {x for x in range(n) if rng.random() < 0.2}
+        f = PartitionOfUnity({x: bp for x, bp in f.values.items() if x not in dropped},
+                             n, f.vertices)
+    try:
+        expected = coarsening_by_points(f, cover)
+    except InputError as e:
+        with pytest.raises(InputError, match=f"^{re.escape(str(e))}$"):
+            coarsening_witnesses(f, cover)
+    else:
+        assert coarsening_witnesses(f, cover) == expected
 
 
 def test_certify_line_staggered_instance():
