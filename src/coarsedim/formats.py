@@ -167,7 +167,7 @@ def dump_metric(metric: FiniteMetricSpace) -> str:
     lines = ["metric-space", f"points {metric.n_points}"]
     for i in range(metric.n_points):
         for j in range(i + 1, metric.n_points):
-            d = metric.dist[i][j]
+            d = metric.d(i, j)
             lines.append(f"distance {i} {j} {d.numerator} {d.denominator}")
     lines.append("end")
     return "\n".join(lines) + "\n"

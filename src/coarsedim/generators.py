@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .covers import Cover, FiniteCoarseSpace
 from .errors import InputError
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, ball_cover
 
 
 @dataclass(frozen=True)
@@ -164,10 +164,8 @@ def gen_random_geometric(n: int, radius, seed: int) -> GeometricInstance:
     coords = tuple((rng.next_fraction(), rng.next_fraction()) for _ in range(n))
     metric = FiniteMetricSpace.from_l1_points(coords)
     sets: list[set[int]] = [{i} for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if metric.dist[i][j] <= radius:
-                sets.append({i, j})
+    for i, ball in enumerate(ball_cover(metric, radius).sets):
+        sets.extend({i, j} for j in sorted(ball) if j > i)
     space = FiniteCoarseSpace(n, Cover.of(sets, n))
     return GeometricInstance(space, metric, coords)
 

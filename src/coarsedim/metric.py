@@ -3,8 +3,9 @@ cover-based partition-of-unity certificates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import add, itemgetter
 
@@ -13,26 +14,35 @@ from .errors import InputError, PreconditionError
 from .pou import PartitionOfUnity, PUCertificate, certify_pu, l1_distance
 
 TRIANGLE_CHECK_LIMIT = 150
+_EXACT = {int, Fraction}  # the entry types FiniteMetricSpace accepts
 
 
 @dataclass(frozen=True, init=False)
 class FiniteMetricSpace:
     """Points 0..n-1 with exact rational distances.
 
-    ``dist`` holds the distances as Fractions.  ``_scaled`` holds them as int
-    numerators over one common denominator, (den, rows), and every comparison
-    of distances reads it.  The triangle inequality is verified on
-    construction for spaces up to TRIANGLE_CHECK_LIMIT points (O(n^3)); pass
-    ``check_triangle`` to force or skip the check.
+    The distances are kept once, in ``_scaled``: int numerators over one
+    common denominator, (den, rows), with den the lcm of the reduced
+    denominators.  Every comparison of distances reads it, and so do ``==``
+    and ``hash``.  ``dist`` gives the distances as Fractions, built on first
+    read.  Entries must be ints or Fractions.  The triangle inequality is
+    verified on construction for spaces up to TRIANGLE_CHECK_LIMIT points
+    (O(n^3)); pass ``check_triangle`` to force or skip the check.
     """
 
     n_points: int
-    dist: tuple[tuple[Fraction, ...], ...]
+    _scaled: tuple[int, tuple[tuple[int, ...], ...]] = field(repr=False)
 
     def __init__(self, n_points, dist, check_triangle: bool | None = None):
-        rows = tuple(tuple(Fraction(d) for d in row) for row in dist)
+        if n_points < 1:
+            raise InputError("a metric space needs a positive number of points")
+        rows = [tuple(row) for row in dist]
         if len(rows) != n_points or any(len(r) != n_points for r in rows):
             raise InputError("distance matrix shape does not match the point count")
+        for i, row in enumerate(rows):
+            if not set(map(type, row)) <= _EXACT:
+                j, d = next((j, d) for j, d in enumerate(row) if type(d) not in _EXACT)
+                raise InputError(f"distance ({i}, {j}) is {d!r}, not an int or Fraction")
         den = lcm(*{d.denominator for row in rows for d in row})
         ints = tuple(tuple(d.numerator * (den // d.denominator) for d in row) for row in rows)
         for i, row in enumerate(ints):
@@ -54,7 +64,6 @@ class FiniteMetricSpace:
                         k = next(k for k in range(n_points) if row[j] > row[k] + col[k])
                         raise InputError(f"triangle inequality fails on ({i}, {j}, {k})")
         object.__setattr__(self, "n_points", n_points)
-        object.__setattr__(self, "dist", rows)
         object.__setattr__(self, "_scaled", (den, ints))
 
     @classmethod
@@ -71,10 +80,17 @@ class FiniteMetricSpace:
                  for j in range(n)] for i in range(n)]
         return cls(n, rows, check_triangle=False)
 
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distances as Fractions, built on first read."""
+        den, rows = self._scaled
+        return tuple(tuple(Fraction(e, den) for e in row) for row in rows)
+
     def d(self, x: int, y: int) -> Fraction:
         if not (0 <= x < self.n_points and 0 <= y < self.n_points):
             raise InputError(f"unknown point in pair ({x}, {y})")
-        return self.dist[x][y]
+        den, rows = self._scaled
+        return Fraction(rows[x][y], den)
 
     def set_diameter(self, points) -> Fraction:
         """Largest distance between two points of the set (0 for <= 1 point)."""

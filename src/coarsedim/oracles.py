@@ -245,6 +245,17 @@ def dump_pu_fractions(f) -> str:
     return "\n".join(lines) + "\n"
 
 
+def dump_metric_fractions(metric) -> str:
+    """The metric file of a space, each distance written from its Fraction in ``dist``."""
+    lines = ["metric-space", f"points {metric.n_points}"]
+    for i in range(metric.n_points):
+        for j in range(i + 1, metric.n_points):
+            d = metric.dist[i][j]
+            lines.append(f"distance {i} {j} {d.numerator} {d.denominator}")
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
 def delta_pair_scan_fractions(f, metric, delta) -> dict:
     """The pair conditions of ``certify_delta_pu``, every comparison made on Fractions.
 

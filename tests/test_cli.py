@@ -224,6 +224,8 @@ MISSING = None  # no file is written for this argument
     pytest.param({"space": "line2", "pu": MISSING}, "pu.txt", id="missing-pu"),
     pytest.param({"space": MISSING, "pu": PU}, "space.txt", id="missing-space"),
     pytest.param({"metric": MISSING, "pu": PU}, "metric.txt", id="missing-metric"),
+    pytest.param({"metric": "line0", "pu": PU},
+                 "a metric space needs a positive number of points", id="metric-line0"),
 ])
 def test_malformed_input_exits_two_with_error_document(tmp_path, capsys, files, quote):
     argv = ["certify", "pu" if "space" in files else "delta"]

@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from coarsedim import (
     BarycentricPoint,
     Cover,
     ExtNat,
+    FiniteMetricSpace,
     INFINITY,
     InputError,
     PartitionOfUnity,
@@ -35,7 +37,7 @@ from coarsedim.formats import (
     parse_fraction,
 )
 from coarsedim.generators import random_cover
-from coarsedim.oracles import dump_pu_fractions
+from coarsedim.oracles import dump_metric_fractions, dump_pu_fractions
 
 F = Fraction
 
@@ -89,9 +91,40 @@ def test_dump_pu_matches_fraction_writer_and_loads_back(n, seed, raw, q):
     assert load_pu(text) == f
 
 
-def test_metric_round_trip():
-    inst = gen_random_geometric(15, F(1, 4), seed=2)
-    assert load_metric(dump_metric(inst.metric)) == inst.metric
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 6), st.integers(0, 10_000))
+def test_metric_round_trip(n, dim, k, seed):
+    # each case gives one list of distances several ways: l1 distances of int
+    # points as ints and as Fractions; the same over k as Fractions and with
+    # the whole ones as ints; a line, built by line() and from Fractions
+    rng = random.Random(seed)
+    coords = [tuple(rng.randrange(-6, 7) for _ in range(dim)) for _ in range(n)]
+    ints = [[sum(abs(a - b) for a, b in zip(p, q)) for q in coords] for p in coords]
+    over_k = [[F(d, k) for d in row] for row in ints]
+    line = [[abs(i - j) for j in range(n)] for i in range(n)]
+    cases = [
+        (ints, [FiniteMetricSpace(n, ints), FiniteMetricSpace(n, [list(map(F, r)) for r in ints])]),
+        (over_k, [FiniteMetricSpace(n, over_k),
+                  FiniteMetricSpace(n, [[int(d) if d.denominator == 1 else d for d in row]
+                                        for row in over_k])]),
+        (line, [FiniteMetricSpace.line(n), FiniteMetricSpace(n, [list(map(F, r)) for r in line])]),
+    ]
+    for rows, spaces in cases:
+        for m in spaces + [load_metric(dump_metric(spaces[0]))]:
+            assert m == spaces[0] and hash(m) == hash(spaces[0])
+            assert m._scaled[0] == lcm(*(F(d).denominator for row in rows for d in row))
+            assert [m.d(x, y) for x in range(n) for y in range(n)] == [
+                F(d) for row in rows for d in row]
+            s = rng.sample(range(n), rng.randrange(n + 1))
+            assert m.set_diameter(s) == max((F(rows[x][y]) for x in s for y in s), default=0)
+            text = dump_metric(m)
+            assert "dist" not in m.__dict__  # none of the reads above builds it
+            assert text == dump_metric_fractions(m)
+            assert m.dist == tuple(tuple(map(F, row)) for row in rows)
+            assert all(type(d) is F for row in m.dist for d in row)
+    geometric = gen_random_geometric(n, F(1, 4), seed).metric
+    assert load_metric(dump_metric(geometric)) == geometric
+    assert dump_metric(geometric) == dump_metric_fractions(geometric)
 
 
 def test_dump_is_byte_stable():

@@ -58,6 +58,25 @@ def test_metric_rejects_asymmetry():
         FiniteMetricSpace(2, rows)
 
 
+@pytest.mark.parametrize("n, rows, message", [
+    pytest.param(2, [[0, 0.1], [0.1, 0]], "distance (0, 1) is 0.1, not an int or Fraction",
+                 id="float"),
+    pytest.param(2, [[0, "1/3"], ["1/3", 0]], "distance (0, 1) is '1/3', not an int or Fraction",
+                 id="string"),
+    pytest.param(2, [[0, 1], [None, 0]], "distance (1, 0) is None, not an int or Fraction",
+                 id="none"),
+    pytest.param(2, [[0, True], [True, 0]], "distance (0, 1) is True, not an int or Fraction",
+                 id="bool"),
+    pytest.param(0, [], "a metric space needs a positive number of points", id="no-points"),
+    pytest.param(-1, [], "a metric space needs a positive number of points",
+                 id="negative-points"),
+])
+def test_metric_rejects_bad_input(n, rows, message):
+    with pytest.raises(InputError) as err:
+        FiniteMetricSpace(n, rows)
+    assert str(err.value) == message
+
+
 def test_line_metric_distances():
     m = FiniteMetricSpace.line(10)
     assert m.d(0, 9) == 9
@@ -68,6 +87,19 @@ def test_random_geometric_metric_satisfies_triangle():
     inst = gen_random_geometric(30, F(1, 4), seed=7)
     # construction is l1 on coordinates, so this re-verifies the invariant
     FiniteMetricSpace(30, inst.metric.dist, check_triangle=True)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_geometric_gauge_is_its_ball_pairs(seed):
+    # singletons, then each pair (i, j), i < j, within the radius, in order;
+    # some radii are distances of the space, where <= is tight
+    n = 14
+    dists = sorted({d for row in gen_random_geometric(n, 1, seed).metric.dist for d in row if d})
+    for radius in (F(1, 4), F(1, 2), dists[0], dists[len(dists) // 3], dists[-1]):
+        inst = gen_random_geometric(n, radius, seed)
+        balls = ball_cover_fractions(inst.metric, radius).sets
+        pairs = [frozenset((i, j)) for i in range(n) for j in sorted(balls[i]) if j > i]
+        assert inst.space.gauge.sets == tuple(frozenset((i,)) for i in range(n)) + tuple(pairs)
 
 
 # --- ball covers ------------------------------------------------------------------
