@@ -11,7 +11,7 @@ from operator import add, itemgetter
 
 from .covers import BoundednessCertificate, Cover, is_uniformly_bounded
 from .errors import InputError, PreconditionError
-from .pou import PartitionOfUnity, PUCertificate, certify_pu, l1_distance
+from .pou import BarycentricPoint, PartitionOfUnity, PUCertificate, certify_pu, l1_distance
 
 TRIANGLE_CHECK_LIMIT = 150
 _EXACT = {int, Fraction}  # the entry types FiniteMetricSpace accepts
@@ -74,10 +74,16 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_l1_points(cls, coords) -> "FiniteMetricSpace":
+        """l1 distances between rational points, each pair summed once in ints."""
         pts = [tuple(Fraction(c) for c in p) for p in coords]
+        cden = lcm(*{c.denominator for p in pts for c in p})
+        ints = [tuple(c.numerator * (cden // c.denominator) for c in p) for p in pts]
         n = len(pts)
-        rows = [[sum(abs(a - b) for a, b in zip(pts[i], pts[j]))
-                 for j in range(n)] for i in range(n)]
+        rows = [[0] * n for _ in range(n)]
+        for i, a in enumerate(ints):
+            row = rows[i]
+            for j in range(i + 1, n):
+                row[j] = rows[j][i] = Fraction(sum(abs(s - t) for s, t in zip(a, ints[j])), cden)
         return cls(n, rows, check_triangle=False)
 
     @cached_property
@@ -146,6 +152,24 @@ class DeltaPUCertificate:
 
 def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
                      diameter_bound) -> DeltaPUCertificate:
+    """Certify f on the metric side at ``delta``.
+
+    The three conditions: (i) Lipschitz, ``l1(f(x), f(y)) <= delta*d(x, y) +
+    delta`` on every pair; (ii) Lebesgue, every pair closer than 1/delta has
+    carriers that meet; (iii) every star preimage has metric diameter at most
+    ``diameter_bound``.  The Lipschitz witness is the first pair x < y, in
+    row order, of largest margin ``l1 - (delta*d + delta)``, reported with its
+    l1 value and allowance whether or not it fails; the Lebesgue witness is the
+    first pair in row order that fails.
+
+    The Lipschitz scan measures l1 only where it could change the witness.
+    Two points with equal values are at l1 exactly 0, so they need no call.
+    Every l1 is at most 2, so a pair whose margin bound ``2 - (delta*d +
+    delta)`` is below the worst margin so far cannot become the witness:
+    pairs go in row order and only a strictly larger margin replaces it.
+    Each row after the first therefore skips the pairs beyond a distance
+    threshold drawn from the worst margin at its start.
+    """
     delta = Fraction(delta)
     diameter_bound = Fraction(diameter_bound)
     if delta <= 0:
@@ -160,11 +184,24 @@ def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
     qd = q * den
     n = metric.n_points
     values = f.values
-    worst_num, worst_h, lip_pair, lip_value = 0, 1, None, Fraction(0)
+    ids: dict[BarycentricPoint, int] = {}
+    cls = [ids.setdefault(values[x], len(ids)) for x in range(n)]  # equal values, equal ids
+    zero = Fraction(0)
+    worst_num, worst_h, lip_pair, lip_value = 0, 1, None, zero
     for x, row in enumerate(rows):
-        fx = values[x]
-        for y in range(x + 1, n):
-            gap = l1_distance(fx, values[y])
+        fx, cx = values[x], cls[x]
+        if lip_pair is None:
+            ys = range(x + 1, n)
+        else:
+            # gap <= 2 bounds the margin by (2*qd - p*(e + den)) / qd, which is
+            # below the worst once e > top
+            top = (2 * qd * worst_h - worst_num) // (p * worst_h) - den
+            ys = [y for y in range(x + 1, n) if row[y] <= top]
+        for y in ys:
+            if cls[y] == cx:
+                gap = zero
+            else:
+                gap = l1_distance(fx, values[y])
             h = gap.denominator
             num = gap.numerator * qd - p * (row[y] + den) * h
             if lip_pair is None or num * worst_h > worst_num * h:

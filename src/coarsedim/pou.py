@@ -266,10 +266,18 @@ class PartitionOfUnity:
         return frozenset(x for x, bp in self.values.items() if v in bp.num)
 
     def star_preimage_cover(self) -> Cover:
-        """The family of all vertex-star preimages, indexed in vertex order."""
+        """The family of all vertex-star preimages, indexed in vertex order.
+
+        One pass over the values puts each point in the preimage of every
+        vertex of its carrier, which ``__post_init__`` keeps in ``vertices``.
+        """
         if not self.is_total:
             raise InputError("star preimage cover needs a total assignment")
-        return Cover(tuple(self.star_preimage(v) for v in self.vertices),
+        pre: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for x, bp in self.values.items():
+            for v in bp.num:
+                pre[v].append(x)
+        return Cover(tuple(frozenset(pre[v]) for v in self.vertices),
                      self.n_points, allow_empty=True)
 
     def max_carrier_size(self) -> int:
@@ -416,10 +424,12 @@ def coarsening_witnesses(f: PartitionOfUnity, cover: Cover):
     """Per element, the least vertex positive on all of it; None where there is none.
 
     Returns (witnesses, first_failing_index_or_None).  Empty elements pass
-    vacuously with witness None.  Each distinct carrier of an element is
-    intersected once; ``barycentric_map`` shares one frozenset per carrier.
+    vacuously with witness None.  Each point's carrier is read once, and each
+    distinct carrier of an element is intersected once; ``barycentric_map``
+    shares one frozenset per carrier.
     """
     values = f.values
+    carrier = {x: bp.carrier for x, bp in values.items()}
     witnesses: list[int | None] = []
     failure = None
     for i, s in enumerate(cover.sets):
@@ -427,7 +437,7 @@ def coarsening_witnesses(f: PartitionOfUnity, cover: Cover):
             witnesses.append(None)
             continue
         try:
-            common = frozenset.intersection(*{values[x].carrier for x in s})
+            common = frozenset.intersection(*set(map(carrier.__getitem__, s)))
         except KeyError:
             missing = min(x for x in s if x not in values)
             raise InputError(f"no value assigned to point {missing}") from None

@@ -24,6 +24,7 @@ from coarsedim import (
     l1_distance,
     variation,
 )
+from coarsedim import metric as metric_module
 from coarsedim.formats import dump_pu, load_pu
 from coarsedim.generators import random_cover, random_fraction, random_refinement_pair
 from coarsedim.oracles import (
@@ -347,3 +348,68 @@ def test_int_arithmetic_matches_fraction_oracle(n, seed):
     for name, value in ref.items():
         assert getattr(cert, name) == value, name
     assert cert.ok == (ref["lipschitz_ok"] and ref["lebesgue_ok"] and cert.boundedness.ok)
+
+
+def repeated_value_maps(n, rng):
+    """Maps on 0..n-1 with repeated values: constant, blocks, a one-carrier ramp, balls, blends."""
+    size = rng.randrange(1, 6)
+    a, b = BarycentricPoint.vertex(0), BarycentricPoint.vertex(1)
+    maps = [constant_map(n, vertex=rng.randrange(2)),
+            PartitionOfUnity({x: BarycentricPoint.vertex(x // size) for x in range(n)},
+                             n, tuple(range(n // size + 1))),
+            PartitionOfUnity({x: a.blend(b, F(x % (size + 1), size + 1)) for x in range(n)},
+                             n, (0, 1))]
+    if n > 1:
+        maps.append(barycentric_map(gen_line(n).space.gauge,
+                                    ball_cover(FiniteMetricSpace.line(n), rng.randrange(1, 9))))
+    base = maps[-1]
+    alpha = random_fraction(rng, 0, 1, 6)
+    maps.append(PartitionOfUnity(
+        {x: bp.blend(base.values[(x + 1) % n], alpha) if rng.random() < 0.3 else bp
+         for x, bp in base.values.items()}, n, base.vertices))
+    return maps
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 10_000), st.booleans())
+def test_pruned_lipschitz_scan_matches_fraction_pair_scan(n, seed, relabelled_line):
+    # relabelled lines and rational l1 metrics; margins tie on a line wherever the
+    # values repeat, and delta runs from 1/64 to past 2, where every pair passes
+    rng = random.Random(seed)
+    if relabelled_line:
+        perm = rng.sample(range(n), n)
+        metric = FiniteMetricSpace(n, [[abs(perm[i] - perm[j]) for j in range(n)]
+                                       for i in range(n)])
+    else:
+        metric = FiniteMetricSpace.from_l1_points(
+            [tuple(random_fraction(rng, 0, n, 4) for _ in range(2)) for _ in range(n)])
+    for f in repeated_value_maps(n, rng):
+        if relabelled_line:
+            f = PartitionOfUnity({x: f.values[perm[x]] for x in range(n)}, n, f.vertices)
+        deltas = (rng.choice([F(1, 64), F(1, 16), F(1, 4)]), rng.choice([F(1), F(2), F(9, 4)]),
+                  random_fraction(rng, 1, 24, 8) / 8)
+        for delta in deltas:
+            cert = certify_delta_pu(f, metric, delta, n)
+            ref = delta_pair_scan_fractions(f, metric, delta)
+            for name, value in ref.items():
+                assert getattr(cert, name) == value, (name, delta)
+
+
+def test_lipschitz_scan_skips_equal_values_and_pairs_past_the_bound(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return l1_distance(a, b)
+
+    monkeypatch.setattr(metric_module, "l1_distance", counted)
+    metric = FiniteMetricSpace.line(200)
+    cert = certify_delta_pu(constant_map(200), metric, F(1, 4), 199)
+    assert not calls
+    assert cert.lipschitz_pair == (0, 1) and cert.lipschitz_value == 0
+
+    _, f = fine_scale_map(200, 8)
+    cert = certify_delta_pu(f, metric, F(1, 4), 199)
+    assert 0 < len(calls) < 2000  # of the 19 900 pairs
+    assert cert.ok and cert.lipschitz_pair == (8, 9)
+    assert (cert.lipschitz_value, cert.lipschitz_allowance) == (F(2, 9), F(1, 2))

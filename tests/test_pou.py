@@ -235,6 +235,28 @@ def test_star_preimage_of_full_support_map():
     assert all(pu.star_preimage(v) == frozenset(range(4)) for v in (0, 1))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 10_000), st.integers(0, 3), st.booleans())
+def test_star_preimage_cover_matches_per_vertex_preimages(n, seed, extra, partial):
+    # barycentric maps and blends of them, over a universe with unused vertices
+    rng = random.Random(seed)
+    fine, coarse = random_refinement_pair(rng, n)
+    base = barycentric_map(fine, coarse)
+    values = {x: bp.blend(base.values[rng.randrange(n)], random_fraction(rng, 0, 1, 5))
+              if rng.random() < 0.4 else bp for x, bp in base.values.items()}
+    vertices = base.vertices + tuple(range(len(base.vertices), len(base.vertices) + extra))
+    if partial and n > 1:
+        del values[rng.randrange(n)]
+    f = PartitionOfUnity(values, n, tuple(rng.sample(vertices, len(vertices))))
+    if not f.is_total:
+        with pytest.raises(InputError, match="^star preimage cover needs a total assignment$"):
+            f.star_preimage_cover()
+        return
+    cover = f.star_preimage_cover()
+    assert cover.sets == tuple(f.star_preimage(v) for v in f.vertices)
+    assert cover.n_points == n and cover.allow_empty
+
+
 def test_infinite_branch_is_constant_on_shared_elements():
     # wherever a pair shares an element, the infinite-index sets agree
     rng = random.Random(29)
