@@ -278,37 +278,28 @@ def _cmd_filler(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.mode != "asdim-witness" and args.max_points < 2:
-        raise InputError(f"--max-points {args.max_points} is below 2")
-    if args.mode == "chain-index":
+    if args.mode != "asdim-witness":
+        # chain-index counts the points whose index disagrees, shrink the instances that fail
+        if args.max_points < 2:
+            raise InputError(f"--max-points {args.max_points} is below 2")
         rng = random.Random(args.seed)
-        mismatches = 0
+        count = 0
         for _ in range(args.instances):
             n = rng.randrange(2, args.max_points + 1)
-            cover = random_cover(rng, n, connected=True)
-            region = frozenset(x for x in range(n) if rng.random() < 0.6)
-            for x in range(n):
-                got = chain_index(cover, x, region)
-                want = oracles.chain_index_by_enumeration(cover, x, region)
-                if got != want:
-                    mismatches += 1
-        doc = {"oracle": "chain-index", "instances": args.instances,
-               "mismatches": mismatches, "ok": mismatches == 0}
-        _emit(doc, args.out)
-        return 0 if mismatches == 0 else 1
-    if args.mode == "shrink":
-        rng = random.Random(args.seed)
-        violations = 0
-        for _ in range(args.instances):
-            n = rng.randrange(2, args.max_points + 1)
-            fine, coarse = random_refinement_pair(rng, n)
-            shrunk = shrink_with_multiplicity(fine, coarse)
-            if oracles.shrink_clause_violation(fine, coarse, shrunk) is not None:
-                violations += 1
-        doc = {"oracle": "shrink", "instances": args.instances,
-               "violations": violations, "ok": violations == 0}
-        _emit(doc, args.out)
-        return 0 if violations == 0 else 1
+            if args.mode == "chain-index":
+                cover = random_cover(rng, n, connected=True)
+                region = frozenset(x for x in range(n) if rng.random() < 0.6)
+                count += sum(chain_index(cover, x, region)
+                             != oracles.chain_index_by_enumeration(cover, x, region)
+                             for x in range(n))
+            else:
+                fine, coarse = random_refinement_pair(rng, n)
+                shrunk = shrink_with_multiplicity(fine, coarse)
+                count += oracles.shrink_clause_violation(fine, coarse, shrunk) is not None
+        key = "mismatches" if args.mode == "chain-index" else "violations"
+        _emit({"oracle": args.mode, "instances": args.instances, key: count, "ok": count == 0},
+              args.out)
+        return 0 if count == 0 else 1
     ctx = _load_space_arg(args.space)
     cover = _load_cover_arg(args.cover, ctx)
     witness = find_witness_bruteforce(ctx.space, cover, args.n, args.diam)

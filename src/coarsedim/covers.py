@@ -36,21 +36,24 @@ class Cover:
             raise InputError("a cover needs at least one element")
         n = self.n_points
         covered = set().union(*self.sets)
-        if ((not self.allow_empty and not all(self.sets))
+        if (not set(map(type, covered)) <= {int}
+                or (not self.allow_empty and not all(self.sets))
                 or (covered and (min(covered) < 0 or max(covered) >= n))):
             for i, s in enumerate(self.sets):  # name the first defect in index order
                 if not s and not self.allow_empty:
                     raise InputError(f"cover element {i} is empty")
                 for x in s:
+                    if type(x) is not int:
+                        raise InputError(f"cover element {i} contains {x!r}, not an int point")
                     if not (0 <= x < n):
                         raise InputError(f"cover element {i} contains unknown point {x}")
         if len(covered) != n:
-            missing = min(set(range(self.n_points)) - covered)
+            missing = next(x for x in range(n) if x not in covered)  # stops at the first gap
             raise InputError(f"cover misses point {missing}")
 
     @staticmethod
     def of(sets: Iterable[Iterable[int]], n_points: int, allow_empty: bool = False) -> "Cover":
-        return Cover(tuple(frozenset(int(x) for x in s) for s in sets), n_points, allow_empty)
+        return Cover(tuple(map(frozenset, sets)), n_points, allow_empty)
 
     def __len__(self):
         return len(self.sets)
@@ -91,10 +94,7 @@ class Cover:
 
         Keeps first occurrences, preserving index order of the survivors.
         """
-        distinct = [s for s in dict.fromkeys(self.sets) if s]
-        at = _by_vertex(distinct)
-        return Cover(tuple(s for s in distinct if _is_maximal(s, at)),
-                     self.n_points, self.allow_empty)
+        return Cover(tuple(_maximal(self.sets)), self.n_points, self.allow_empty)
 
     def _check_point(self, x: int):
         if not isinstance(x, int) or not (0 <= x < self.n_points):
@@ -115,6 +115,13 @@ def _is_maximal(f: frozenset[int], by_vertex) -> bool:
     return not any(f < g for g in by_vertex[next(iter(f))])
 
 
+def _maximal(sets) -> list[frozenset[int]]:
+    """The distinct nonempty sets that no other set strictly contains, in first-seen order."""
+    distinct = [s for s in dict.fromkeys(sets) if s]
+    at = _by_vertex(distinct)
+    return [s for s in distinct if _is_maximal(s, at)]
+
+
 @dataclass(frozen=True)
 class FiniteCoarseSpace:
     """A finite point set 0..n-1 with a gauge cover fixing the base scale."""
@@ -127,10 +134,6 @@ class FiniteCoarseSpace:
             raise InputError("gauge is defined over a different point set")
         if self.gauge.has_empty_elements():
             raise InputError("gauge must not contain empty elements")
-
-    @property
-    def points(self) -> range:
-        return range(self.n_points)
 
     @property
     def chain(self) -> "ChainGraph":

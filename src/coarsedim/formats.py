@@ -21,6 +21,7 @@ from .pou import BarycentricPoint, PartitionOfUnity
 
 FRACTION_TAG = "frac"
 EXTNAT_TAG = "extnat"
+TRIANGLE_CHECK_LIMIT = 150  # load_metric checks the triangle inequality up to this many points
 
 
 def encode(value):
@@ -64,11 +65,6 @@ def doc_dumps(doc) -> str:
 
 def doc_loads(text: str):
     return decode(json.loads(text))
-
-
-def fraction_str(value: Fraction) -> str:
-    value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def parse_fraction(text: str) -> Fraction | None:
@@ -174,8 +170,12 @@ def dump_metric(metric: FiniteMetricSpace) -> str:
 
 
 def load_metric(text: str) -> FiniteMetricSpace:
+    """Read a metric file; the triangle check runs up to TRIANGLE_CHECK_LIMIT points.
+
+    Every line is checked, and every pair found, before the n x n rows are built.
+    """
     _, n, body = _read(text, ("metric-space",), 2)
-    rows = [[None if i != j else Fraction(0) for j in range(n)] for i in range(n)]
+    given: dict[tuple[int, int], Fraction] = {}  # by (i, j) with i <= j
     for ln in body:
         tok = ln.split()
         if len(tok) != 5 or tok[0] != "distance":
@@ -183,13 +183,19 @@ def load_metric(text: str) -> FiniteMetricSpace:
         i, j, num, den = _ints(tok[1:], ln)
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"unknown point in {ln!r}")
-        if i != j and rows[i][j] is not None:
+        if j < i:
+            i, j = j, i
+        if i != j and (i, j) in given:
             raise InputError(f"second distance line for one pair: {ln!r}")
-        rows[i][j] = rows[j][i] = _fraction(num, den, ln)
-    missing = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] is None]
-    if missing:
-        raise InputError(f"no distance line for the pair {missing[0]}")
-    return FiniteMetricSpace(n, rows)
+        given[i, j] = _fraction(num, den, ln)
+    if len(given) - sum((i, i) in given for i in range(n)) != n * (n - 1) // 2:
+        missing = next((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in given)
+        raise InputError(f"no distance line for the pair {missing}")
+    zero = Fraction(0)
+    rows = [[zero] * n for _ in range(n)]
+    for (i, j), d in given.items():
+        rows[i][j] = rows[j][i] = d
+    return FiniteMetricSpace(n, rows, check_triangle=n <= TRIANGLE_CHECK_LIMIT)
 
 
 def _read(text: str, kinds: tuple[str, ...], n_header: int) -> tuple[list[str], int, list[str]]:

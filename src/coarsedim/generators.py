@@ -77,9 +77,6 @@ class GridInstance:
     width: int
     height: int
 
-    def point(self, x: int, y: int) -> int:
-        return y * self.width + x
-
     def bricks(self, brick: int) -> Cover:
         """Brick partition with alternate rows offset by half a brick."""
         return grid_brick_cover(self.width, self.height, brick)

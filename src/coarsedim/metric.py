@@ -11,10 +11,8 @@ from operator import add, itemgetter
 
 from .covers import BoundednessCertificate, Cover, is_uniformly_bounded
 from .errors import InputError, PreconditionError
-from .pou import BarycentricPoint, PartitionOfUnity, PUCertificate, certify_pu, l1_distance
-
-TRIANGLE_CHECK_LIMIT = 150
-_EXACT = {int, Fraction}  # the entry types FiniteMetricSpace accepts
+from .pou import (_EXACT, BarycentricPoint, PartitionOfUnity, PUCertificate, certify_pu,
+                  l1_distance)
 
 
 @dataclass(frozen=True, init=False)
@@ -26,14 +24,13 @@ class FiniteMetricSpace:
     denominators.  Every comparison of distances reads it, and so do ``==``
     and ``hash``.  ``dist`` gives the distances as Fractions, built on first
     read.  Entries must be ints or Fractions.  The triangle inequality is
-    verified on construction for spaces up to TRIANGLE_CHECK_LIMIT points
-    (O(n^3)); pass ``check_triangle`` to force or skip the check.
+    verified on construction (O(n^3)) unless ``check_triangle`` is False.
     """
 
     n_points: int
     _scaled: tuple[int, tuple[tuple[int, ...], ...]] = field(repr=False)
 
-    def __init__(self, n_points, dist, check_triangle: bool | None = None):
+    def __init__(self, n_points, dist, check_triangle: bool = True):
         if n_points < 1:
             raise InputError("a metric space needs a positive number of points")
         rows = [tuple(row) for row in dist]
@@ -53,8 +50,6 @@ class FiniteMetricSpace:
                     raise InputError(f"asymmetric distance between {i} and {j}")
                 if row[j] < 0:
                     raise InputError(f"negative distance between {i} and {j}")
-        if check_triangle is None:
-            check_triangle = n_points <= TRIANGLE_CHECK_LIMIT
         if check_triangle:
             # (i, j, k) fails iff (j, i, k) does, so the first failure has i < j
             for i, row in enumerate(ints):

@@ -12,9 +12,11 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .covers import (BoundednessCertificate, Cover, _by_vertex, _is_maximal, chain_indices,
-                     is_uniformly_bounded)
+from .covers import (BoundednessCertificate, Cover, _by_vertex, _is_maximal, _maximal,
+                     chain_indices, is_uniformly_bounded)
 from .errors import ConstructionError, InputError
+
+_EXACT = {int, Fraction}  # the types of BarycentricPoint weights and FiniteMetricSpace entries
 
 
 class BarycentricPoint:
@@ -23,21 +25,20 @@ class BarycentricPoint:
     The weights are int numerators ``num`` over one positive int ``den``, in
     lowest terms: the numerators sum to ``den`` and ``gcd(den, *num.values())``
     is 1, so equal points have equal fields.  ``Fraction``s are built only
-    where a caller asks for them (``weights``, ``weight``).
+    where a caller asks for them (``weights``, ``weight``).  The constructor
+    takes int or Fraction weights at int vertices.
     """
 
     __slots__ = ("num", "den", "_carrier")
 
     def __init__(self, weights):
-        fracs: dict[int, Fraction] = {}
         for v, w in weights.items():
-            w = Fraction(w)
-            if w < 0:
-                raise InputError(f"negative weight {w} at vertex {v}")
-            if w:
-                fracs[int(v)] = w
-        den = lcm(*(w.denominator for w in fracs.values()))
-        self._set({v: w.numerator * (den // w.denominator) for v, w in fracs.items()}, den)
+            if type(v) is not int:
+                raise InputError(f"vertex {v!r} is not an int")
+            if type(w) not in _EXACT:
+                raise InputError(f"weight {w!r} at vertex {v} is not an int or Fraction")
+        den = lcm(*(w.denominator for w in weights.values()))
+        self._set({v: w.numerator * (den // w.denominator) for v, w in weights.items()}, den)
 
     @classmethod
     def _from_ints(cls, num: dict[int, int], den: int) -> "BarycentricPoint":
@@ -45,17 +46,20 @@ class BarycentricPoint:
 
         The point may keep ``num`` itself, so the caller must not change it afterwards.
         """
-        if num and min(num.values()) <= 0:
-            for v, n in num.items():
-                if n < 0:
-                    raise InputError(f"negative weight {Fraction(n, den)} at vertex {v}")
-            num = {v: n for v, n in num.items() if n}
         point = cls.__new__(cls)
         point._set(num, den)
         return point
 
     def _set(self, num: dict[int, int], den: int) -> None:
-        """Check the unit sum of nonnegative ``num`` over ``den`` and store it reduced."""
+        """Check that ``num`` over ``den`` is nonnegative and sums to 1; store it reduced.
+
+        Zero weights are dropped.
+        """
+        if num and min(num.values()) <= 0:
+            for v, n in num.items():
+                if n < 0:
+                    raise InputError(f"negative weight {Fraction(n, den)} at vertex {v}")
+            num = {v: n for v, n in num.items() if n}
         total = sum(num.values())
         if total != den:
             raise InputError(f"weights sum to {Fraction(total, den)}, need exactly 1")
@@ -69,7 +73,7 @@ class BarycentricPoint:
 
     @classmethod
     def vertex(cls, v: int) -> "BarycentricPoint":
-        return cls._from_ints({int(v): 1}, 1)
+        return cls({v: 1})
 
     @property
     def weights(self) -> dict[int, Fraction]:
@@ -208,9 +212,7 @@ def nerve(cover: Cover, d_cap: int) -> SimplicialComplex:
     """
     if d_cap < 0:
         raise InputError("dimension cap must be nonnegative")
-    distinct = {frozenset(m) for m in cover.membership}
-    at = _by_vertex(distinct)
-    facets = frozenset(f for f in distinct if _is_maximal(f, at))
+    facets = frozenset(_maximal(map(frozenset, cover.membership)))
     return SimplicialComplex(tuple(range(len(cover.sets))), facets, d_cap)
 
 

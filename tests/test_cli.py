@@ -1,17 +1,24 @@
 """Workbench CLI: subcommands, exit codes, emitted documents."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coarsedim
+from coarsedim import FiniteMetricSpace, barycentric_map, gen_line
 from coarsedim.cli import main
-from coarsedim.formats import doc_loads, load_cover, load_pu, load_space
+from coarsedim.formats import (doc_loads, dump_cover, dump_metric, dump_pu, dump_space,
+                               load_cover, load_pu, load_space)
 
 F = Fraction
 
@@ -629,3 +636,77 @@ def test_golden_bytes_of_map_certificate_and_blend(tmp_path, capsys):
     assert blended.read_text() == GOLDEN_FILLER_PU
     assert (doc["measured_variation"], doc["min_peak_weight"], doc["max_deviation_on_anchors"],
             doc["certificate"]["variation_pair"]) == (F(1, 26), F(1, 2), 0, [9, 10])
+
+
+# --- fuzzing: mutated input files through the CLI -----------------------------
+
+def _fuzz_seeds():
+    line = gen_line(6)
+    cover = line.staggered(2)
+    return {
+        "space": dump_space(line.space),
+        "cover": dump_cover(cover),
+        "pu": dump_pu(barycentric_map(line.space.gauge, cover)),
+        "metric": dump_metric(FiniteMetricSpace.line(6)),
+    }
+
+
+FUZZ_SEEDS = _fuzz_seeds()
+# small counts only, so that a mutated points line stays cheap to check
+FUZZ_TOKENS = ["0", "1", "2", "5", "6", "7", "-1", "1/2", "0.5", "x", "inf", "end", "points",
+               "value", "distance", "element", "gauge", ":", "vertices", "cover relaxed"]
+FUZZ_COMMANDS = [
+    ["phi", "--space", "{space}", "--cover", "{cover}"],
+    ["certify", "pu", "--space", "{space}", "--pu", "{pu}", "--cover", "{cover}",
+     "--eps", "1", "--diam", "3"],
+    ["certify", "delta", "--metric", "{metric}", "--pu", "{pu}", "--delta", "1/2",
+     "--diam", "5"],
+    ["asdim", "check", "--space", "{space}", "--cover-u", "gauge", "--cover-v", "{cover}",
+     "--n", "1"],
+]
+fuzz_edit = st.tuples(st.sampled_from(["delete", "repeat", "swap", "replace", "insert"]),
+                      st.integers(0, 60), st.integers(0, 8), st.sampled_from(FUZZ_TOKENS))
+
+
+def _mutate(text, edits):
+    lines = text.splitlines()
+    for kind, at, other, token in edits:
+        if not lines:
+            break
+        i = at % len(lines)
+        if kind == "delete":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = other % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "replace":
+            tokens = lines[i].split() or [""]
+            tokens[other % len(tokens)] = token
+            lines[i] = " ".join(tokens)
+        else:
+            lines.insert(i, " ".join([token] + lines[other % len(lines)].split()[1:]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FUZZ_COMMANDS),
+       st.dictionaries(st.sampled_from(sorted(FUZZ_SEEDS)), st.lists(fuzz_edit, min_size=1,
+                                                                      max_size=4),
+                       min_size=1))
+def test_mutated_files_keep_the_exit_contract(command, edits):
+    # whatever the files hold, main returns 0, 1 or 2 and prints one document;
+    # an exception escaping main fails the test with its traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for kind, text in FUZZ_SEEDS.items():
+            paths[kind] = Path(tmp) / f"{kind}.txt"
+            paths[kind].write_text(_mutate(text, edits[kind]) if kind in edits else text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([arg.format_map(paths) for arg in command])
+    assert code in (0, 1, 2)
+    doc = doc_loads(out.getvalue())
+    assert isinstance(doc, dict)
+    assert (code == 2) == ("error" in doc)

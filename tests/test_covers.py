@@ -1,6 +1,7 @@
 """Cover algebra: stars, refinement, chain indices, shrinking."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from coarsedim import (
 )
 from coarsedim import covers
 from coarsedim.covers import ChainGraph, diameter_in_graph
+from coarsedim.formats import load_cover
 from coarsedim.generators import random_cover, random_refinement_pair
 from coarsedim.oracles import (
     chain_diameter_all_pairs,
@@ -87,6 +89,33 @@ def test_cover_names_its_first_defect_in_index_order():
             Cover.of(sets, 3)
     with pytest.raises(InputError, match="cover element 2 contains unknown point 3"):
         Cover.of([[0, 1, 2], [], [3]], 3, allow_empty=True)
+
+
+def test_cover_rejects_points_that_are_not_ints():
+    # the element is named, and Cover.of keeps 0.7 as it is rather than reading it as 0
+    cases = [
+        (lambda: Cover((frozenset({0.5}), frozenset({0})), 1), "cover element 0 contains 0.5"),
+        (lambda: Cover((frozenset({0}), frozenset({0.5})), 2), "cover element 1 contains 0.5"),
+        (lambda: Cover.of([[0.7, 1]], 2), "cover element 0 contains 0.7"),
+        (lambda: Cover.of([[0, 1], ["2"]], 3), "cover element 1 contains '2'"),
+        (lambda: Cover.of([[0, True]], 2), "cover element 0 contains True"),
+    ]
+    for build, message in cases:
+        with pytest.raises(InputError) as err:
+            build()
+        assert str(err.value) == message + ", not an int point"
+
+
+def test_missing_point_check_costs_the_size_of_the_cover():
+    # the first gap is found by scanning up to it, not by building range(n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="^cover misses point 4$"):
+            load_cover("cover\npoints 1000000\nelement 0 : 0 1 2 3\nend\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_relaxed_cover_keeps_empty_elements():

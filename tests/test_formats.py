@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -22,6 +23,7 @@ from coarsedim import (
     gen_line,
     gen_random_geometric,
 )
+from coarsedim import formats
 from coarsedim.formats import (
     doc_dumps,
     doc_loads,
@@ -125,6 +127,38 @@ def test_metric_round_trip(n, dim, k, seed):
     geometric = gen_random_geometric(n, F(1, 4), seed).metric
     assert load_metric(dump_metric(geometric)) == geometric
     assert dump_metric(geometric) == dump_metric_fractions(geometric)
+
+
+def test_metric_loader_checks_its_lines_before_building_rows():
+    # a file that declares many points and gives no pairs fails without the n x n rows
+    for points in (2000, 100_000):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=r"^no distance line for the pair \(0, 1\)$"):
+                load_metric(f"metric-space\npoints {points}\nend\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+    with pytest.raises(InputError, match=r"^no distance line for the pair \(0, 2\)$"):
+        load_metric("metric-space\npoints 3\ndistance 1 1 0 1\ndistance 1 0 1 1\n"
+                    "distance 2 1 1 1\nend\n")
+
+
+@pytest.mark.parametrize("n", [150, 151])
+def test_metric_files_over_the_limit_load_without_the_triangle_check(n):
+    # d(0, n-1) = 3n breaks the triangle inequality through every other point
+    lines = [f"distance {i} {j} {3 * n if (i, j) == (0, n - 1) else j - i} 1"
+             for i in range(n) for j in range(i + 1, n)]
+    text = f"metric-space\npoints {n}\n" + "\n".join(lines) + "\nend\n"
+    if n <= formats.TRIANGLE_CHECK_LIMIT:
+        with pytest.raises(InputError, match=rf"^triangle inequality fails on \(0, {n - 1}, 1\)$"):
+            load_metric(text)
+    else:
+        metric = load_metric(text)
+        assert metric.d(n - 1, 0) == 3 * n
+        with pytest.raises(InputError, match="^triangle inequality fails"):
+            FiniteMetricSpace(n, metric.dist)  # the constructor always checks by default
 
 
 def test_dump_is_byte_stable():

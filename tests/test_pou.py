@@ -89,6 +89,16 @@ def test_weight_error_messages():
         (lambda: BarycentricPoint._from_ints({0: 1, 1: 1}, 3),
          "weights sum to 2/3, need exactly 1"),
         (lambda: BarycentricPoint._from_ints({0: 0}, 1), "weights sum to 0, need exactly 1"),
+        # only ints and Fractions at int vertices: 0.5 is not read through its
+        # binary value, and vertex 0.7 is not truncated to 0
+        (lambda: BarycentricPoint({0: 0.5, 1: 0.5}),
+         "weight 0.5 at vertex 0 is not an int or Fraction"),
+        (lambda: BarycentricPoint({0: F(1, 2), 1: "1/2"}),
+         "weight '1/2' at vertex 1 is not an int or Fraction"),
+        (lambda: BarycentricPoint({0: True}), "weight True at vertex 0 is not an int or Fraction"),
+        (lambda: BarycentricPoint({0.7: 1}), "vertex 0.7 is not an int"),
+        (lambda: BarycentricPoint({0: F(1, 2), "1": F(1, 2)}), "vertex '1' is not an int"),
+        (lambda: BarycentricPoint.vertex(0.7), "vertex 0.7 is not an int"),
     ]
     for build, message in cases:
         with pytest.raises(InputError) as err:
@@ -96,6 +106,8 @@ def test_weight_error_messages():
         assert str(err.value) == message
     p = BarycentricPoint._from_ints({0: 2, 1: 0, 2: 1}, 3)
     assert (p.num, p.den, p.carrier) == ({0: 2, 2: 1}, 3, frozenset({0, 2}))
+    p = BarycentricPoint({3: 1, 1: F(0)})
+    assert (p.num, p.den) == ({3: 1}, 1) and p == BarycentricPoint.vertex(3)
 
 
 @given(st.dictionaries(st.integers(0, 6), st.integers(-3, 6), max_size=5),
