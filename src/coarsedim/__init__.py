@@ -45,7 +45,6 @@ from .generators import (
     GridInstance,
     Lcg,
     LineInstance,
-    SpaceSpec,
     gen_grid2d,
     gen_line,
     gen_random_geometric,

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .covers import (
     Cover,
     FiniteCoarseSpace,
+    _check_points,
     chain_indices,
     diameter_in_graph,
     interior,
@@ -356,15 +357,13 @@ def blend_alpha(subset, m: int, cover: Cover) -> BlendFunction:
     indices follow the four-way case table (1/2, 1, 0).
     """
     n = cover.n_points
-    region = frozenset(subset)
+    region = _check_points(subset, n)
     if not region:
         raise InputError("the subset must be nonempty")
     if len(region) == n:
         raise InputError("the subset must be a proper subset")
     if m < 1:
         raise InputError("star depth m must be at least 1")
-    for a in region:
-        cover._check_point(a)
     q_raw = cover.chain.distances_from(region)
     # the m-fold star of the subset is its chain ball of radius m
     star_m = frozenset(x for x in range(n) if q_raw[x] is not None and q_raw[x] <= m)
@@ -409,7 +408,7 @@ def skeletal_retract(f: PartitionOfUnity, subset, m: int, cover: Cover,
     m*delta must stay below 1/(8(n+1)) so the two carriers share a vertex.
     """
     delta = Fraction(delta)
-    region = frozenset(subset)
+    region = _check_points(subset, f.n_points)
     if not region:
         raise InputError("the anchor subset must be nonempty")
     if not f.is_total:
@@ -510,7 +509,6 @@ def filler(space: FiniteCoarseSpace, f: PartitionOfUnity, subset, cover: Cover,
     blend is certified against ``cover`` at min(eps, 1/(n+1)).
     """
     n, m, k = params.n, params.m, params.k
-    region = frozenset(subset)
 
     input_cert = certify_pu(f, coarse, space, params.delta, diameter_bound)
     if not input_cert.ok:
@@ -525,6 +523,7 @@ def filler(space: FiniteCoarseSpace, f: PartitionOfUnity, subset, cover: Cover,
     if mult > n + 1:
         raise PreconditionError(f"coarse cover has multiplicity {mult} > {n + 1}")
 
+    region = _check_points(subset, space.n_points)  # after the gates: a failed gate is named first
     alpha = blend_alpha(region, m, cover)
     retract = skeletal_retract(f, region, m, cover, params.delta, n)
     shrunk = shrink_with_multiplicity(coarse, f.star_preimage_cover())

@@ -30,15 +30,12 @@ class Cover:
     _star_tower = None
 
     def __post_init__(self):
-        if self.n_points <= 0:
-            raise InputError("a cover needs a positive number of points")
+        _check_count(self.n_points, "a cover")
         if not self.sets:
             raise InputError("a cover needs at least one element")
         n = self.n_points
         covered = set().union(*self.sets)
-        if (not set(map(type, covered)) <= {int}
-                or (not self.allow_empty and not all(self.sets))
-                or (covered and (min(covered) < 0 or max(covered) >= n))):
+        if not _are_points(covered, n) or (not self.allow_empty and not all(self.sets)):
             for i, s in enumerate(self.sets):  # name the first defect in index order
                 if not s and not self.allow_empty:
                     raise InputError(f"cover element {i} is empty")
@@ -80,7 +77,7 @@ class Cover:
 
     def multiplicity(self, x: int) -> int:
         """Number of elements containing x (duplicates counted per index)."""
-        self._check_point(x)
+        _check_point(x, self.n_points)
         return len(self.membership[x])
 
     def max_multiplicity(self) -> int:
@@ -96,9 +93,31 @@ class Cover:
         """
         return Cover(tuple(_maximal(self.sets)), self.n_points, self.allow_empty)
 
-    def _check_point(self, x: int):
-        if not isinstance(x, int) or not (0 <= x < self.n_points):
-            raise InputError(f"unknown point {x!r}")
+
+def _check_count(n, what: str) -> None:
+    """A point count is a positive int; a bool or a float is not one."""
+    if type(n) is not int or n < 1:
+        raise InputError(f"{what} needs a positive number of points")
+
+
+def _check_point(x, n: int) -> None:
+    """A point of 0..n-1 is an int id in range; a bool or a float is not one."""
+    if not (type(x) is int and 0 <= x < n):
+        raise InputError(f"unknown point {x!r}")
+
+
+def _are_points(pts, n: int) -> bool:
+    """Whether every member of ``pts`` would pass ``_check_point``: one C-level pass."""
+    return set(map(type, pts)) <= {int} and (not pts or (min(pts) >= 0 and max(pts) < n))
+
+
+def _check_points(points, n: int) -> frozenset[int]:
+    """The points as a frozenset; ``_check_point`` names an offender if there is one."""
+    pts = frozenset(points)
+    if not _are_points(pts, n):
+        for x in pts:
+            _check_point(x, n)
+    return pts
 
 
 def _by_vertex(sets) -> dict[int, tuple[frozenset[int], ...]]:
@@ -130,6 +149,7 @@ class FiniteCoarseSpace:
     gauge: Cover
 
     def __post_init__(self):
+        _check_count(self.n_points, "a coarse space")
         if self.gauge.n_points != self.n_points:
             raise InputError("gauge is defined over a different point set")
         if self.gauge.has_empty_elements():
@@ -252,10 +272,7 @@ def is_refinement(fine: Cover, coarse: Cover) -> RefinementCheck:
 
 def star_set(points: Iterable[int], cover: Cover) -> frozenset[int]:
     """Union of all cover elements meeting the given set."""
-    pts = tuple(points)
-    for a in pts:
-        cover._check_point(a)
-    return frozenset(_grow(pts, cover))
+    return frozenset(_grow(_check_points(points, cover.n_points), cover))
 
 
 def _grow(frontier: Iterable[int], cover: Cover) -> set[int]:
@@ -336,11 +353,8 @@ def chain_indices(cover: Cover, region: Iterable[int]) -> list[int | None]:
     the region's elements; when the region holds most of the space, starting
     from the whole complement costs less.
     """
-    inside = frozenset(region)
     n = cover.n_points
-    for x in inside:
-        if not isinstance(x, int) or not (0 <= x < n):
-            raise InputError(f"unknown point {x!r}")
+    inside = _check_points(region, n)
     if 2 * len(inside) > n:
         return cover.chain.distances_from(y for y in range(n) if y not in inside)
     dist = cover.chain.distances_from(_grow(inside, cover) - inside, within=inside)
@@ -352,7 +366,7 @@ def chain_indices(cover: Cover, region: Iterable[int]) -> list[int | None]:
 
 def chain_index(cover: Cover, x: int, region: Iterable[int]) -> ExtNat:
     """The chain index of x in ``region`` as an ExtNat; ``ExtNat(None)`` is infinity."""
-    cover._check_point(x)
+    _check_point(x, cover.n_points)
     return ExtNat(chain_indices(cover, region)[x])
 
 
@@ -364,7 +378,7 @@ def interior(cover: Cover, region: Iterable[int], k: int,
     """
     if k < 0:
         raise InputError("star iteration count must be nonnegative")
-    inside = frozenset(region)
+    inside = _check_points(region, cover.n_points)
     if index is None:
         index = chain_indices(cover, inside)
     return frozenset(x for x in inside if index[x] is None or index[x] > k)
@@ -415,7 +429,7 @@ def diameter_in_graph(points: Iterable[int], graph: ChainGraph) -> ExtNat:
     preimages of the ``roundtrip2d`` skeleton map at seed 1, in one
     ``is_uniformly_bounded`` call) and changes nothing on lines.
     """
-    pts = sorted(set(points))
+    pts = sorted(_check_points(points, graph.n_points))
     if len(pts) < 2:
         return ExtNat(0)
     lo = dict.fromkeys(pts, 0)

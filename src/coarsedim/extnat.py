@@ -11,8 +11,8 @@ from functools import total_ordering
 class ExtNat:
     """A value in {0, 1, 2, ...} plus infinity.  ``None`` encodes infinity.
 
-    Comparisons treat infinity as larger than every finite value; addition
-    with infinity stays infinite.  Infinity is never coerced to an int.
+    Comparisons treat infinity as larger than every finite value.  Infinity
+    is never coerced to an int.
     """
 
     value: int | None = None
@@ -44,16 +44,6 @@ class ExtNat:
         if not other.is_finite:
             return True
         return self.value < other.value
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_finite and other.is_finite:
-            return ExtNat(self.value + other.value)
-        return INFINITY
-
-    __radd__ = __add__
 
     def __repr__(self):
         return "ExtNat(inf)" if self.value is None else f"ExtNat({self.value})"

@@ -167,37 +167,6 @@ def gen_random_geometric(n: int, radius, seed: int) -> GeometricInstance:
     return GeometricInstance(space, metric, coords)
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
-    """Deterministic description of a generated space."""
-
-    kind: str
-    params: tuple[tuple[str, object], ...]
-
-    @classmethod
-    def line(cls, n: int) -> "SpaceSpec":
-        return cls("line", (("n", n),))
-
-    @classmethod
-    def grid2d(cls, width: int, height: int) -> "SpaceSpec":
-        return cls("grid2d", (("height", height), ("width", width)))
-
-    @classmethod
-    def random_geometric(cls, n: int, radius, seed: int) -> "SpaceSpec":
-        return cls("random-geometric",
-                   (("n", n), ("radius", Fraction(radius)), ("seed", seed)))
-
-    def realize(self):
-        kv = dict(self.params)
-        if self.kind == "line":
-            return gen_line(kv["n"])
-        if self.kind == "grid2d":
-            return gen_grid2d(kv["width"], kv["height"])
-        if self.kind == "random-geometric":
-            return gen_random_geometric(kv["n"], kv["radius"], kv["seed"])
-        raise InputError(f"unknown space kind {self.kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # samplers for randomized checks (driven by a caller-supplied random.Random)
 

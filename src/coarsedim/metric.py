@@ -9,7 +9,8 @@ from functools import cached_property
 from math import lcm
 from operator import add, itemgetter
 
-from .covers import BoundednessCertificate, Cover, is_uniformly_bounded
+from .covers import (BoundednessCertificate, Cover, _check_count, _check_point,
+                     is_uniformly_bounded)
 from .errors import InputError, PreconditionError
 from .pou import (_EXACT, BarycentricPoint, PartitionOfUnity, PUCertificate, certify_pu,
                   l1_distance)
@@ -31,8 +32,7 @@ class FiniteMetricSpace:
     _scaled: tuple[int, tuple[tuple[int, ...], ...]] = field(repr=False)
 
     def __init__(self, n_points, dist, check_triangle: bool = True):
-        if n_points < 1:
-            raise InputError("a metric space needs a positive number of points")
+        _check_count(n_points, "a metric space")
         rows = [tuple(row) for row in dist]
         if len(rows) != n_points or any(len(r) != n_points for r in rows):
             raise InputError("distance matrix shape does not match the point count")
@@ -88,8 +88,8 @@ class FiniteMetricSpace:
         return tuple(tuple(Fraction(e, den) for e in row) for row in rows)
 
     def d(self, x: int, y: int) -> Fraction:
-        if not (0 <= x < self.n_points and 0 <= y < self.n_points):
-            raise InputError(f"unknown point in pair ({x}, {y})")
+        _check_point(x, self.n_points)
+        _check_point(y, self.n_points)
         den, rows = self._scaled
         return Fraction(rows[x][y], den)
 

@@ -12,8 +12,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .covers import (BoundednessCertificate, Cover, _by_vertex, _is_maximal, _maximal,
-                     chain_indices, is_uniformly_bounded)
+from .covers import (BoundednessCertificate, Cover, _by_vertex, _check_count, _check_points,
+                     _is_maximal, _maximal, chain_indices, is_uniformly_bounded)
 from .errors import ConstructionError, InputError
 
 _EXACT = {int, Fraction}  # the types of BarycentricPoint weights and FiniteMetricSpace entries
@@ -231,11 +231,11 @@ class PartitionOfUnity:
     complex: SimplicialComplex | None = None
 
     def __post_init__(self):
+        _check_count(self.n_points, "a map")
+        _check_points(self.values, self.n_points)
         universe = set(self.vertices)
         checked: set[frozenset[int]] = set()  # each distinct carrier is checked once
         for x, bp in self.values.items():
-            if not (0 <= x < self.n_points):
-                raise InputError(f"value assigned to unknown point {x}")
             carrier = bp.carrier
             if carrier in checked:
                 continue

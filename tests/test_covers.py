@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsedim import (
+    BarycentricPoint,
     Cover,
     ExtNat,
     FiniteCoarseSpace,
     INFINITY,
     InputError,
+    PartitionOfUnity,
     PreconditionError,
+    blend_alpha,
     chain_diameter,
     chain_graph,
     chain_index,
@@ -25,6 +28,7 @@ from coarsedim import (
     is_uniformly_bounded,
     iterated_star,
     shrink_with_multiplicity,
+    skeletal_retract,
     star_cover,
     star_misfit,
     star_set,
@@ -496,14 +500,27 @@ def test_chain_indices_search_only_the_region_and_its_rim(monkeypatch):
 
 
 def test_chain_indices_reject_unknown_points():
-    gauge = gen_line(5).space.gauge
-    for region in ({0, 99}, {0, -3}, {0, 5}, {0, "1"}):
-        with pytest.raises(InputError):
-            chain_index(gauge, 0, region)
-        with pytest.raises(InputError):
-            chain_indices(gauge, region)
-        with pytest.raises(InputError):
-            interior(gauge, region, 1)
+    # a point is an int id in 0..n-1: True is not point 1, and 0.5 is no point at all
+    space = gen_line(5).space
+    gauge = space.gauge
+    index = chain_indices(gauge, {0, 1})
+    const = PartitionOfUnity(dict.fromkeys(range(5), BarycentricPoint.vertex(0)), 5, (0,))
+    for region in ({0, 99}, {0, -3}, {0, 5}, {0, "1"}, {0, True}, {0.5}):
+        bad = next(x for x in region if x != 0)
+        for call in (lambda: chain_index(gauge, 0, region),
+                     lambda: chain_indices(gauge, region),
+                     lambda: interior(gauge, region, 1),
+                     lambda: interior(gauge, region, 1, index),
+                     lambda: star_set(region, gauge),
+                     lambda: gauge.multiplicity(bad),
+                     lambda: chain_index(gauge, bad, {0}),
+                     lambda: blend_alpha(region, 1, gauge),
+                     lambda: skeletal_retract(const, region, 1, gauge, 0, 0),
+                     lambda: chain_diameter(region, gauge),
+                     lambda: space.set_diameter(region)):
+            with pytest.raises(InputError) as err:
+                call()
+            assert str(err.value) == f"unknown point {bad!r}"
 
 
 @settings(max_examples=80, deadline=None)
@@ -747,14 +764,18 @@ def test_shrink_clauses_property(n, seed):
 def test_space_rejects_mismatched_gauge():
     with pytest.raises(InputError):
         FiniteCoarseSpace(3, Cover.of([[0, 1]], 2))
+    # 6.0 == 6 and True == 1, but neither is a count
+    with pytest.raises(InputError, match="^a coarse space needs a positive number of points$"):
+        FiniteCoarseSpace(6.0, gen_line(6).space.gauge)
+    for n in (3.0, True):
+        with pytest.raises(InputError, match="^a cover needs a positive number of points$"):
+            Cover.of([[0]], n)
 
 
-def test_extnat_ordering_and_addition():
+def test_extnat_ordering():
     assert ExtNat(3) < INFINITY
     assert not INFINITY < ExtNat(3)
     assert INFINITY <= INFINITY
-    assert ExtNat(2) + ExtNat(3) == 5
-    assert ExtNat(2) + INFINITY == INFINITY
     assert ExtNat(4) == 4 and ExtNat(4) <= 4
     with pytest.raises(ValueError):
         ExtNat(-1)

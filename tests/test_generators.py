@@ -7,7 +7,6 @@ import pytest
 from coarsedim import (
     InputError,
     Lcg,
-    SpaceSpec,
     check_asdim_pair,
     gen_grid2d,
     gen_line,
@@ -103,10 +102,3 @@ def test_lcg_sequence_is_reproducible():
     b = Lcg(42)
     assert [b.next_int() for _ in range(5)] == first
     assert all(0 <= Lcg(7).next_fraction() < 1 for _ in range(5))
-
-
-def test_space_spec_round_trips_generation():
-    spec = SpaceSpec.line(30)
-    assert spec.realize().space == gen_line(30).space
-    spec2 = SpaceSpec.random_geometric(12, F(1, 3), 5)
-    assert spec2.realize().coords == gen_random_geometric(12, F(1, 3), 5).coords

@@ -59,22 +59,32 @@ def test_metric_rejects_asymmetry():
         FiniteMetricSpace(2, rows)
 
 
-@pytest.mark.parametrize("n, rows, message", [
-    pytest.param(2, [[0, 0.1], [0.1, 0]], "distance (0, 1) is 0.1, not an int or Fraction",
-                 id="float"),
-    pytest.param(2, [[0, "1/3"], ["1/3", 0]], "distance (0, 1) is '1/3', not an int or Fraction",
-                 id="string"),
-    pytest.param(2, [[0, 1], [None, 0]], "distance (1, 0) is None, not an int or Fraction",
-                 id="none"),
-    pytest.param(2, [[0, True], [True, 0]], "distance (0, 1) is True, not an int or Fraction",
-                 id="bool"),
-    pytest.param(0, [], "a metric space needs a positive number of points", id="no-points"),
-    pytest.param(-1, [], "a metric space needs a positive number of points",
-                 id="negative-points"),
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: FiniteMetricSpace(2, [[0, 0.1], [0.1, 0]]),
+                 "distance (0, 1) is 0.1, not an int or Fraction", id="float"),
+    pytest.param(lambda: FiniteMetricSpace(2, [[0, "1/3"], ["1/3", 0]]),
+                 "distance (0, 1) is '1/3', not an int or Fraction", id="string"),
+    pytest.param(lambda: FiniteMetricSpace(2, [[0, 1], [None, 0]]),
+                 "distance (1, 0) is None, not an int or Fraction", id="none"),
+    pytest.param(lambda: FiniteMetricSpace(2, [[0, True], [True, 0]]),
+                 "distance (0, 1) is True, not an int or Fraction", id="bool"),
+    pytest.param(lambda: FiniteMetricSpace(0, []),
+                 "a metric space needs a positive number of points", id="no-points"),
+    pytest.param(lambda: FiniteMetricSpace(-1, []),
+                 "a metric space needs a positive number of points", id="negative-points"),
+    # a count and a point are ints: 2.0 and True are neither, though 2.0 == 2 and True == 1
+    pytest.param(lambda: FiniteMetricSpace(2.0, [[0, 1], [1, 0]]),
+                 "a metric space needs a positive number of points", id="float-count"),
+    pytest.param(lambda: FiniteMetricSpace(True, [[0]]),
+                 "a metric space needs a positive number of points", id="bool-count"),
+    pytest.param(lambda: FiniteMetricSpace.line(3).d(True, 0), "unknown point True",
+                 id="bool-point"),
+    pytest.param(lambda: FiniteMetricSpace.line(3).d(0.5, 1), "unknown point 0.5",
+                 id="float-point"),
 ])
-def test_metric_rejects_bad_input(n, rows, message):
+def test_metric_rejects_bad_input(build, message):
     with pytest.raises(InputError) as err:
-        FiniteMetricSpace(n, rows)
+        build()
     assert str(err.value) == message
 
 

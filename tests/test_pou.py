@@ -99,6 +99,9 @@ def test_weight_error_messages():
         (lambda: BarycentricPoint({0.7: 1}), "vertex 0.7 is not an int"),
         (lambda: BarycentricPoint({0: F(1, 2), "1": F(1, 2)}), "vertex '1' is not an int"),
         (lambda: BarycentricPoint.vertex(0.7), "vertex 0.7 is not an int"),
+        # a map's points are int ids too: a float key is not read as a point
+        (lambda: PartitionOfUnity(dict.fromkeys((0.5, 1, 2), BarycentricPoint.vertex(0)), 3, (0,)),
+         "unknown point 0.5"),
     ]
     for build, message in cases:
         with pytest.raises(InputError) as err:
