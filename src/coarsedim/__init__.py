@@ -3,7 +3,6 @@ finite coarse spaces, in exact rational arithmetic."""
 
 from .asdim import (
     AsdimPairCertificate,
-    BlendCase,
     BlendFunction,
     FillerParams,
     FillerResult,
@@ -25,7 +24,6 @@ from .covers import (
     Cover,
     FiniteCoarseSpace,
     RefinementCheck,
-    chain_diameter,
     chain_graph,
     chain_index,
     chain_indices,
@@ -48,9 +46,6 @@ from .generators import (
     gen_grid2d,
     gen_line,
     gen_random_geometric,
-    grid_brick_cover,
-    line_block_cover,
-    line_staggered_cover,
 )
 from .metric import (
     DeltaPUCertificate,

@@ -10,7 +10,6 @@ checked exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .covers import (
@@ -28,7 +27,6 @@ from .covers import (
     star_set,
 )
 from .errors import ConstructionError, InputError, PreconditionError
-from .extnat import ExtNat
 from .pou import (
     BarycentricPoint,
     PartitionOfUnity,
@@ -203,21 +201,20 @@ class TrimResult:
     certificate: AsdimPairCertificate
 
 
-def trim_to_cover(f: PartitionOfUnity, cover: Cover, n: int | None = None) -> TrimResult:
+def trim_to_cover(f: PartitionOfUnity, cover: Cover, n: int) -> TrimResult:
     """Trim the star preimages of f to a witness cover for ``cover``.
 
     Requires the star preimages to coarsen the 2-fold star of ``cover`` and to
-    have pointwise multiplicity at most n+1 (n defaults to the largest carrier
-    size minus one).  Each preimage loses the union of all ``cover`` elements
-    meeting its complement; the result still coarsens ``cover`` and passes the
-    n-count check against it.
+    have pointwise multiplicity at most n+1.  Each preimage loses the union of
+    all ``cover`` elements meeting its complement; the result still coarsens
+    ``cover`` and passes the n-count check against it.
     """
+    if n < 0:
+        raise InputError(f"dimension n = {n} is negative")
     if not f.is_total:
         raise InputError("trimming needs a total assignment")
     if cover.n_points != f.n_points:
         raise InputError("cover is over a different point set than the assignment")
-    if n is None:
-        n = f.max_carrier_size() - 1
     if f.max_carrier_size() > n + 1:
         worst = next(x for x in sorted(f.values) if len(f.values[x].carrier) > n + 1)
         raise PreconditionError(
@@ -250,6 +247,11 @@ def trim_to_cover(f: PartitionOfUnity, cover: Cover, n: int | None = None) -> Tr
     return TrimResult(result, cert)
 
 
+def _filler_bound(eps: Fraction, n: int) -> Fraction:
+    """The filler certifies at min(eps, 1/(n+1)); each budget term stays below a quarter of it."""
+    return min(eps, Fraction(1, n + 1))
+
+
 @dataclass(frozen=True)
 class FillerParams:
     """Scale parameters for the filler, all four budget terms below the cap.
@@ -269,13 +271,10 @@ class FillerParams:
             raise InputError("need eps > 0, n >= 0, delta > 0")
         if not self.k > self.m >= 1:
             raise InputError("need k > m >= 1")
-        cap = self.budget_cap()
+        cap = _filler_bound(self.eps, self.n) / 4
         for term in self.budget_terms():
             if not term < cap:
                 raise InputError(f"budget term {term} is not below the cap {cap}")
-
-    def budget_cap(self) -> Fraction:
-        return min(self.eps, Fraction(1, self.n + 1)) / 4
 
     def budget_terms(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (
@@ -300,61 +299,32 @@ def choose_filler_params(eps, n: int) -> FillerParams:
         raise InputError("eps must be positive")
     if n < 0:
         raise InputError("n must be nonnegative")
-    cap = min(eps, Fraction(1, n + 1)) / 4
+    cap = _filler_bound(eps, n) / 4
     m = int(3 / cap) + 1
     k = max(m + 1, int(Fraction(2 * (2 * n + 2) ** 2) / cap) + 1)
     delta = cap / (2 * (2 * m + 1))
     return FillerParams(eps=eps, n=n, k=k, m=m, delta=delta)
 
 
-class BlendCase(Enum):
-    """Which of the two chain indices behind a blend value were infinite."""
-
-    BOTH_FINITE = "both-finite"
-    BOTH_INFINITE = "both-infinite"
-    STAR_INFINITE = "star-infinite"
-    COMPLEMENT_INFINITE = "complement-infinite"
-
-
 @dataclass(frozen=True)
 class BlendFunction:
-    """Pointwise blend coefficients in [0,1] with their index case records.
-
-    ``star_index`` is the chain index of each point in the m-fold star of the
-    subset; ``complement_index`` its chain index in the subset's complement.
-    """
+    """Pointwise blend coefficients in [0,1] and the m-fold star of the subset."""
 
     values: tuple[Fraction, ...]
-    star_index: tuple[ExtNat, ...]
-    complement_index: tuple[ExtNat, ...]
     star_region: frozenset[int]
-    m: int
-
-    _CASE_TABLE = {
-        (True, True): BlendCase.BOTH_FINITE,
-        (False, False): BlendCase.BOTH_INFINITE,
-        (False, True): BlendCase.STAR_INFINITE,
-        (True, False): BlendCase.COMPLEMENT_INFINITE,
-    }
 
     def __post_init__(self):
         for x, a in enumerate(self.values):
             if not 0 <= a <= 1:
                 raise InputError(f"blend value {a} at point {x} outside [0, 1]")
 
-    @property
-    def cases(self) -> tuple[BlendCase, ...]:
-        """Per point, which of its two chain indices are finite."""
-        return tuple(self._CASE_TABLE[p.is_finite, q.is_finite]
-                     for p, q in zip(self.star_index, self.complement_index))
-
 
 def blend_alpha(subset, m: int, cover: Cover) -> BlendFunction:
     """Blend profile: 1 deep inside the subset, 0 outside its m-fold star.
 
     The value at x is p/(p+q) where p is x's chain index in the m-fold star of
-    the subset and q its chain index in the subset's complement; infinite
-    indices follow the four-way case table (1/2, 1, 0).
+    the subset and q its chain index in the subset's complement.  An infinite
+    p gives 1 (or 1/2 when q is infinite too), and an infinite q alone gives 0.
     """
     n = cover.n_points
     region = _check_points(subset, n)
@@ -377,13 +347,7 @@ def blend_alpha(subset, m: int, cover: Cover) -> BlendFunction:
             values.append(Fraction(0))
         else:
             values.append(Fraction(p, p + q) if p + q else Fraction(0))
-    return BlendFunction(
-        values=tuple(values),
-        star_index=tuple(map(ExtNat, p_raw)),
-        complement_index=tuple(map(ExtNat, q_raw)),
-        star_region=star_m,
-        m=m,
-    )
+    return BlendFunction(tuple(values), star_m)
 
 
 @dataclass(frozen=True)
@@ -391,7 +355,6 @@ class RetractResult:
     """A partial map made skeletal near the anchor set, plus bookkeeping."""
 
     pu: PartitionOfUnity                 # defined on the m-fold star of the anchors
-    anchors: dict[int, int]              # point -> nearest anchor (least id tie-break)
     max_shift: Fraction                  # largest l1 move applied to any value
     shift_bound: Fraction                # m * delta, the expected ceiling for the shift
 
@@ -427,12 +390,11 @@ def skeletal_retract(f: PartitionOfUnity, subset, m: int, cover: Cover,
     dist, anchor_of = _nearest_anchor(cover.chain, region)
 
     values: dict[int, BarycentricPoint] = {}
-    anchors: dict[int, int] = {}
     max_shift = Fraction(0)
     for x, d in enumerate(dist):
         if d is None or d > m:  # outside the m-fold star of the subset
             continue
-        c = anchors[x] = anchor_of[x]
+        c = anchor_of[x]
         fx = f.value(x)
         fc_carrier = f.value(c).carrier
         if fx.carrier <= fc_carrier:
@@ -460,7 +422,7 @@ def skeletal_retract(f: PartitionOfUnity, subset, m: int, cover: Cover,
         if shift > max_shift:
             max_shift = shift
     pu = PartitionOfUnity(values, f.n_points, f.vertices, f.complex)
-    return RetractResult(pu, anchors, max_shift, m * delta)
+    return RetractResult(pu, max_shift, m * delta)
 
 
 def _nearest_anchor(graph, sources) -> tuple[list[int | None], list[int | None]]:
@@ -486,10 +448,7 @@ class FillerResult:
     pu: PartitionOfUnity
     certificate: PUCertificate           # at bound min(eps, 1/(n+1))
     input_certificate: PUCertificate     # f against the coarse cover at delta
-    alpha: BlendFunction
     retract: RetractResult
-    shrunk_cover: Cover
-    nerve_map: PartitionOfUnity
     budget: Fraction
     measured_variation: Fraction
     budget_ok: bool
@@ -539,21 +498,19 @@ def filler(space: FiniteCoarseSpace, f: PartitionOfUnity, subset, cover: Cover,
         if not relabeled[x].carrier <= f.value(x).carrier:
             raise ConstructionError(
                 f"nerve map carrier at point {x} escapes the input carrier")
-    phi = PartitionOfUnity(relabeled, space.n_points, f.vertices, f.complex)
 
     values: dict[int, BarycentricPoint] = {}
     for x in range(space.n_points):
         a = alpha.values[x]
         if a == 0:
-            values[x] = phi.values[x]
+            values[x] = relabeled[x]
         elif a == 1:
             values[x] = retract.pu.values[x]
         else:
-            values[x] = retract.pu.values[x].blend(phi.values[x], a)
+            values[x] = retract.pu.values[x].blend(relabeled[x], a)
     blended = PartitionOfUnity(values, space.n_points, f.vertices, f.complex)
 
-    strict = min(params.eps, Fraction(1, n + 1))
-    cert = certify_pu(blended, cover, space, strict, diameter_bound)
+    cert = certify_pu(blended, cover, space, _filler_bound(params.eps, n), diameter_bound)
     budget = params.variation_budget()
     measured = cert.variation_value
 
@@ -567,10 +524,7 @@ def filler(space: FiniteCoarseSpace, f: PartitionOfUnity, subset, cover: Cover,
         pu=blended,
         certificate=cert,
         input_certificate=input_cert,
-        alpha=alpha,
         retract=retract,
-        shrunk_cover=shrunk,
-        nerve_map=phi,
         budget=budget,
         measured_variation=measured,
         budget_ok=measured <= budget,

@@ -404,11 +404,6 @@ def star_misfit(cover: Cover, k: int, coarse: Cover,
     return None
 
 
-def chain_diameter(points: Iterable[int], cover: Cover) -> ExtNat:
-    """Largest chain-graph distance between two points of the set (0 for <=1 point)."""
-    return diameter_in_graph(points, cover.chain)
-
-
 def diameter_in_graph(points: Iterable[int], graph: ChainGraph) -> ExtNat:
     """Largest graph distance between two points of the set: exact, INFINITY if split.
 

@@ -18,7 +18,7 @@ class ExtNat:
     value: int | None = None
 
     def __post_init__(self):
-        if self.value is not None and (not isinstance(self.value, int) or self.value < 0):
+        if self.value is not None and (type(self.value) is not int or self.value < 0):
             raise ValueError(f"ExtNat takes a nonnegative int or None, got {self.value!r}")
 
     @property

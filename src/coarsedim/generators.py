@@ -32,11 +32,28 @@ class LineInstance:
         reaches the end of the line; the last interval is clipped.  Any window
         of at most half+1 consecutive points fits inside a single interval.
         """
-        return line_staggered_cover(self.n, half)
+        n = self.n
+        if half < 1:
+            raise InputError("interval half-length must be at least 1")
+        if 2 * half >= n:
+            return Cover.of([range(n)], n)
+        sets = []
+        start = 0
+        while True:
+            end = min(start + 2 * half, n)
+            sets.append(range(start, end))
+            if start + 2 * half >= n:
+                break
+            start += half
+        return Cover.of(sets, n)
 
     def blocks(self, length: int) -> Cover:
         """Disjoint intervals of the given length (last one clipped)."""
-        return line_block_cover(self.n, length)
+        n = self.n
+        if length < 1:
+            raise InputError("block length must be at least 1")
+        sets = [range(start, min(start + length, n)) for start in range(0, n, length)]
+        return Cover.of(sets, n)
 
 
 def gen_line(n: int) -> LineInstance:
@@ -44,29 +61,6 @@ def gen_line(n: int) -> LineInstance:
         raise InputError("a line needs at least 2 points")
     gauge = Cover.of([{i, i + 1} for i in range(n - 1)], n)
     return LineInstance(FiniteCoarseSpace(n, gauge))
-
-
-def line_staggered_cover(n: int, half: int) -> Cover:
-    if half < 1:
-        raise InputError("interval half-length must be at least 1")
-    if 2 * half >= n:
-        return Cover.of([range(n)], n)
-    sets = []
-    start = 0
-    while True:
-        end = min(start + 2 * half, n)
-        sets.append(range(start, end))
-        if start + 2 * half >= n:
-            break
-        start += half
-    return Cover.of(sets, n)
-
-
-def line_block_cover(n: int, length: int) -> Cover:
-    if length < 1:
-        raise InputError("block length must be at least 1")
-    sets = [range(start, min(start + length, n)) for start in range(0, n, length)]
-    return Cover.of(sets, n)
 
 
 @dataclass(frozen=True)
@@ -79,7 +73,20 @@ class GridInstance:
 
     def bricks(self, brick: int) -> Cover:
         """Brick partition with alternate rows offset by half a brick."""
-        return grid_brick_cover(self.width, self.height, brick)
+        width, height = self.width, self.height
+        if brick < 1:
+            raise InputError("brick length must be at least 1")
+        sets = []
+        for band_start in range(0, height, brick):
+            band = range(band_start, min(band_start + brick, height))
+            offset = (brick // 2) if (band_start // brick) % 2 else 0
+            start = -offset
+            while start < width:
+                xs = range(max(start, 0), min(start + brick, width))
+                if xs:
+                    sets.append({y * width + x for y in band for x in xs})
+                start += brick
+        return Cover.of(sets, width * height)
 
 
 def gen_grid2d(width: int, height: int) -> GridInstance:
@@ -99,22 +106,6 @@ def gen_grid2d(width: int, height: int) -> GridInstance:
                 sets.append({pid(x, y), pid(x, y + 1)})
     gauge = Cover.of(sets, n)
     return GridInstance(FiniteCoarseSpace(n, gauge), width, height)
-
-
-def grid_brick_cover(width: int, height: int, brick: int) -> Cover:
-    if brick < 1:
-        raise InputError("brick length must be at least 1")
-    sets = []
-    for band_start in range(0, height, brick):
-        band = range(band_start, min(band_start + brick, height))
-        offset = (brick // 2) if (band_start // brick) % 2 else 0
-        start = -offset
-        while start < width:
-            xs = range(max(start, 0), min(start + brick, width))
-            if xs:
-                sets.append({y * width + x for y in band for x in xs})
-            start += brick
-    return Cover.of(sets, width * height)
 
 
 class Lcg:
@@ -170,12 +161,11 @@ def gen_random_geometric(n: int, radius, seed: int) -> GeometricInstance:
 # ---------------------------------------------------------------------------
 # samplers for randomized checks (driven by a caller-supplied random.Random)
 
-def random_cover(rng, n_points: int, max_extra: int = 4, max_size: int = 4,
-                 connected: bool = False) -> Cover:
+def random_cover(rng, n_points: int, max_size: int = 4, connected: bool = False) -> Cover:
     """A random cover; with ``connected`` the chain graph is made connected."""
     for _ in range(200):
         sets = []
-        for _ in range(rng.randrange(1, n_points + max_extra)):
+        for _ in range(rng.randrange(1, n_points + 4)):
             size = rng.randrange(1, min(max_size, n_points) + 1)
             sets.append(frozenset(rng.sample(range(n_points), size)))
         covered = set().union(*sets) if sets else set()

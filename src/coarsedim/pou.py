@@ -12,8 +12,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .covers import (BoundednessCertificate, Cover, _by_vertex, _check_count, _check_points,
-                     _is_maximal, _maximal, chain_indices, is_uniformly_bounded)
+from .covers import (BoundednessCertificate, Cover, _by_vertex, _check_count, _check_point,
+                     _check_points, _is_maximal, _maximal, chain_indices,
+                     is_uniformly_bounded)
 from .errors import ConstructionError, InputError
 
 _EXACT = {int, Fraction}  # the types of BarycentricPoint weights and FiniteMetricSpace entries
@@ -188,20 +189,6 @@ class SimplicialComplex:
             return -1
         return min(self.d_cap, max(len(f) for f in self.facets) - 1)
 
-    def all_simplices(self, limit: int = 200000) -> frozenset[frozenset[int]]:
-        """Explicit enumeration for small complexes (guarded against blowup)."""
-        from itertools import combinations
-
-        out: set[frozenset[int]] = set()
-        for f in self.facets:
-            top = min(len(f), self.d_cap + 1)
-            for size in range(1, top + 1):
-                for combo in combinations(sorted(f), size):
-                    out.add(frozenset(combo))
-                    if len(out) > limit:
-                        raise InputError("complex too large for explicit enumeration")
-        return frozenset(out)
-
 
 def nerve(cover: Cover, d_cap: int) -> SimplicialComplex:
     """Nerve of a cover: index subsets spanning a simplex iff their elements all meet.
@@ -256,6 +243,7 @@ class PartitionOfUnity:
         return len(self.values) == self.n_points
 
     def value(self, x: int) -> BarycentricPoint:
+        _check_point(x, self.n_points)
         try:
             return self.values[x]
         except KeyError:
@@ -263,8 +251,8 @@ class PartitionOfUnity:
 
     def star_preimage(self, v: int) -> frozenset[int]:
         """Points whose value puts positive weight on vertex v."""
-        if v not in set(self.vertices):
-            raise InputError(f"unknown vertex {v}")
+        if type(v) is not int or v not in set(self.vertices):
+            raise InputError(f"unknown vertex {v!r}")
         return frozenset(x for x, bp in self.values.items() if v in bp.num)
 
     def star_preimage_cover(self) -> Cover:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from coarsedim import (
     BarycentricPoint,
-    BlendCase,
     ConstructionError,
     Cover,
     FillerParams,
@@ -21,6 +20,7 @@ from coarsedim import (
     blend_alpha,
     build_skeleton_pu,
     certify_pu,
+    chain_indices,
     check_asdim_pair,
     choose_filler_params,
     filler,
@@ -215,6 +215,12 @@ def test_trim_constant_map_passes_n_zero():
     result = trim_to_cover(pu, line.space.gauge, 0)
     assert result.certificate.ok
     assert result.cover.sets == (frozenset(range(12)),)
+    # below 0 the trim refuses n as the count check does
+    for call in (lambda: trim_to_cover(pu, line.space.gauge, -1),
+                 lambda: check_asdim_pair(line.space.gauge, whole, -1)):
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == "dimension n = -1 is negative"
 
 
 def test_trim_line_pipeline():
@@ -247,7 +253,7 @@ def test_trim_removes_the_star_of_each_complement(n, seed):
     everything = frozenset(range(n))
     expected = tuple(s - star_set_bruteforce(everything - s, cover)
                      for s in pu.star_preimage_cover().sets)
-    assert trim_to_cover(pu, cover).cover.sets == expected
+    assert trim_to_cover(pu, cover, pu.max_carrier_size() - 1).cover.sets == expected
 
 
 def test_trim_gate_witness_is_the_2_fold_star_that_fits_nowhere():
@@ -316,24 +322,29 @@ def test_blend_variation_bound_on_finite_pairs():
         subset = frozenset(rng.sample(range(n), size))
         m = rng.randrange(1, 4)
         b = blend_alpha(subset, m, u)
+        # finiteness of the index into the m-star and of the index into the complement
+        star_index = chain_indices(u, b.star_region)
+        complement_index = u.chain.distances_from(subset)
+        cases = [(p is not None, q is not None) for p, q in zip(star_index, complement_index)]
         for x in range(n - 1):
-            cx, cy = b.cases[x], b.cases[x + 1]
-            if cx == cy == BlendCase.BOTH_FINITE:
+            if cases[x] == cases[x + 1] == (True, True):
                 assert abs(b.values[x] - b.values[x + 1]) <= F(3, m)
             else:
                 # infinite indices are a chain-component property, so adjacent
                 # points share the case and the value
-                assert cx == cy and b.values[x] == b.values[x + 1]
+                assert cases[x] == cases[x + 1] and b.values[x] == b.values[x + 1]
 
 
 def test_blend_infinite_cases():
     # two components: the region fills one component entirely
     cover = Cover.of([[0, 1], [2, 3]], 4)
     b = blend_alpha({0, 1}, 1, cover)
+    star_index = chain_indices(cover, b.star_region)
+    complement_index = cover.chain.distances_from({0, 1})
     # inside the filled component the exterior is unreachable
-    assert b.cases[0] == BlendCase.STAR_INFINITE and b.values[0] == 1
+    assert star_index[0] is None and complement_index[0] == 0 and b.values[0] == 1
     # the other component never reaches the region
-    assert b.cases[2] == BlendCase.COMPLEMENT_INFINITE and b.values[2] == 0
+    assert star_index[2] == 0 and complement_index[2] is None and b.values[2] == 0
 
 
 def test_blend_rejects_degenerate_subsets():
@@ -358,7 +369,8 @@ def test_retract_fixes_anchor_points_and_constant_maps():
     assert res.max_shift == 0
     for x in sorted(res.pu.values):
         assert res.pu.values[x] == pu.values[x]
-    assert res.anchors[3] == 3 and res.anchors[6] == 4
+    _, anchor_of = _nearest_anchor(u.chain, frozenset(range(5)))
+    assert anchor_of[3] == 3 and anchor_of[6] == 4
 
 
 def test_retract_moves_mass_onto_anchor_carrier():
@@ -483,5 +495,4 @@ def test_nearest_anchor_and_star_regions_match_references(n, seed, connected, m)
     assert blend_alpha(region, m, cover).star_region == star
     const = PartitionOfUnity({x: BarycentricPoint.vertex(0) for x in range(n)}, n, (0,))
     retract = skeletal_retract(const, region, m, cover, F(1, 16 * m), 0)
-    _, root = nearest_source_all_pairs(cover, region)
-    assert retract.anchors == {x: root[x] for x in sorted(star)}
+    assert set(retract.pu.values) == star

@@ -17,7 +17,6 @@ from coarsedim import (
     PartitionOfUnity,
     PreconditionError,
     blend_alpha,
-    chain_diameter,
     chain_graph,
     chain_index,
     chain_indices,
@@ -516,7 +515,7 @@ def test_chain_indices_reject_unknown_points():
                      lambda: chain_index(gauge, bad, {0}),
                      lambda: blend_alpha(region, 1, gauge),
                      lambda: skeletal_retract(const, region, 1, gauge, 0, 0),
-                     lambda: chain_diameter(region, gauge),
+                     lambda: diameter_in_graph(region, gauge.chain),
                      lambda: space.set_diameter(region)):
             with pytest.raises(InputError) as err:
                 call()
@@ -566,17 +565,17 @@ def test_star_misfit_on_line_names_the_least_failing_element():
 
 def test_chain_diameter_trivial_sets():
     u = line_cover(5)
-    assert chain_diameter({3}, u) == 0
-    assert chain_diameter(set(), u) == 0
+    assert diameter_in_graph({3}, u.chain) == 0
+    assert diameter_in_graph(set(), u.chain) == 0
 
 
 def test_chain_diameter_on_line():
-    assert chain_diameter({0, 3}, line_cover(5)) == 3
+    assert diameter_in_graph({0, 3}, line_cover(5).chain) == 3
 
 
 def test_chain_diameter_across_components_is_infinite():
     split = Cover.of([[0, 1], [2, 3]], 4)
-    assert chain_diameter({0, 3}, split) == INFINITY
+    assert diameter_in_graph({0, 3}, split.chain) == INFINITY
 
 
 def cycle_cover(n):
@@ -777,5 +776,7 @@ def test_extnat_ordering():
     assert not INFINITY < ExtNat(3)
     assert INFINITY <= INFINITY
     assert ExtNat(4) == 4 and ExtNat(4) <= 4
-    with pytest.raises(ValueError):
-        ExtNat(-1)
+    # only a nonnegative int or None: a bool or a float is not a natural number
+    for bad in (-1, True, False, 1.0, "1"):
+        with pytest.raises(ValueError):
+            ExtNat(bad)

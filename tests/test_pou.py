@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,7 @@ def test_points_from_fractions_and_from_unreduced_ints_are_one_point():
 
 
 def test_weight_error_messages():
+    const = PartitionOfUnity(dict.fromkeys(range(3), BarycentricPoint.vertex(0)), 3, (0,))
     cases = [
         (lambda: BarycentricPoint({0: F(3, 2), 1: F(-1, 2)}), "negative weight -1/2 at vertex 1"),
         (lambda: BarycentricPoint({0: F(1, 2), 1: F(1, 3)}), "weights sum to 5/6, need exactly 1"),
@@ -102,6 +104,12 @@ def test_weight_error_messages():
         # a map's points are int ids too: a float key is not read as a point
         (lambda: PartitionOfUnity(dict.fromkeys((0.5, 1, 2), BarycentricPoint.vertex(0)), 3, (0,)),
          "unknown point 0.5"),
+        # nor is a float or a bool read as a point when a value is looked up
+        (lambda: const.value(True), "unknown point True"),
+        (lambda: const.value(0.0), "unknown point 0.0"),
+        (lambda: const.value(3), "unknown point 3"),
+        (lambda: PartitionOfUnity({0: BarycentricPoint.vertex(0)}, 3, (0,)).value(1),
+         "no value assigned to point 1"),
     ]
     for build, message in cases:
         with pytest.raises(InputError) as err:
@@ -143,7 +151,9 @@ def test_blend_is_exact():
 def test_nerve_of_disjoint_cover_is_zero_dimensional():
     k = nerve(Cover.of([[0], [1], [2]], 3), 2)
     assert k.dimension == 0
-    assert k.all_simplices() == frozenset({frozenset({0}), frozenset({1}), frozenset({2})})
+    assert k.facets == frozenset({frozenset({0}), frozenset({1}), frozenset({2})})
+    assert all(k.has({v}) for v in range(3))
+    assert not any(k.has(s) for s in ({0, 1}, {0, 2}, {1, 2}, {0, 1, 2}))
 
 
 def test_nerve_single_edge():
@@ -157,7 +167,8 @@ def test_nerve_of_multiplicity_two_cover_has_no_triangles():
     v = line.staggered(5)
     k = nerve(v, v.max_multiplicity() - 1)
     assert k.dimension == 1
-    assert all(len(s) <= 2 for s in k.all_simplices())
+    # no three elements meet, so even without the cap no facet is a triangle
+    assert max(len(f) for f in k.facets) == 2
 
 
 def test_nerve_matches_subset_enumeration_oracle():
@@ -168,9 +179,10 @@ def test_nerve_matches_subset_enumeration_oracle():
         d_cap = rng.randrange(0, 4)
         k = nerve(cover, d_cap)
         expected = nerve_simplices_bruteforce(cover, d_cap)
-        assert k.all_simplices() == expected
-        for s in expected:
-            assert k.has(s)
+        vertices = range(len(cover.sets))
+        for size in range(1, d_cap + 2):
+            for s in map(frozenset, combinations(vertices, size)):
+                assert k.has(s) == (s in expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -232,8 +244,11 @@ def test_star_preimage_worked_example():
     _, _, _, pu = worked_map()
     assert sorted(pu.star_preimage(0)) == [0, 1, 2, 3]
     assert sorted(pu.star_preimage(1)) == [2, 3, 4, 5]
-    with pytest.raises(InputError):
-        pu.star_preimage(9)
+    # a vertex is an int id of the map's vertices: True is not vertex 1
+    for v in (9, -1, True, 1.0, "1"):
+        with pytest.raises(InputError) as err:
+            pu.star_preimage(v)
+        assert str(err.value) == f"unknown vertex {v!r}"
 
 
 def test_star_preimage_of_constant_map():
