@@ -15,6 +15,7 @@ from fractions import Fraction
 from .covers import (
     Cover,
     FiniteCoarseSpace,
+    _check_int,
     _check_points,
     chain_indices,
     diameter_in_graph,
@@ -53,8 +54,7 @@ class AsdimPairCertificate:
 
 def check_asdim_pair(cover: Cover, witness: Cover, n: int) -> AsdimPairCertificate:
     """Pass iff every element of ``cover`` meets at most n+1 elements of ``witness``."""
-    if n < 0:
-        raise InputError(f"dimension n = {n} is negative")
+    _check_int(n, 0, "n")
     if cover.n_points != witness.n_points:
         raise InputError("covers are over different point sets")
     counts = []
@@ -83,10 +83,8 @@ def find_witness_bruteforce(space: FiniteCoarseSpace, cover: Cover, n: int,
     members, or None when the family admits no such witness.  A None result
     refutes nothing beyond this candidate family and budget.
     """
-    if n < 0:
-        raise InputError(f"dimension n = {n} is negative")
-    if diameter < 0:
-        raise InputError(f"diameter {diameter} is negative")
+    _check_int(n, 0, "n")
+    _check_int(diameter, 0, "diameter")
     npts = space.n_points
     if npts > BRUTE_FORCE_POINT_LIMIT:
         raise InputError(
@@ -170,10 +168,8 @@ def build_skeleton_pu(space: FiniteCoarseSpace, cover: Cover, witness: Cover,
     at most n+1, so the nerve capped at dimension n holds every carrier.  The
     returned certificate is taken at bound (2n+2)^2 / k.
     """
-    if k < 1:
-        raise InputError("star scale k must be at least 1")
-    if n < 0:
-        raise InputError("dimension n must be nonnegative")
+    _check_int(k, 1, "k")
+    _check_int(n, 0, "n")
     stars = iterated_star(cover, k)
     pre = check_asdim_pair(stars, star_cover(witness, cover), n)
     if not pre.ok:
@@ -209,10 +205,7 @@ def trim_to_cover(f: PartitionOfUnity, cover: Cover, n: int) -> TrimResult:
     all ``cover`` elements meeting its complement; the result still coarsens
     ``cover`` and passes the n-count check against it.
     """
-    if n < 0:
-        raise InputError(f"dimension n = {n} is negative")
-    if not f.is_total:
-        raise InputError("trimming needs a total assignment")
+    _check_int(n, 0, "n")
     if cover.n_points != f.n_points:
         raise InputError("cover is over a different point set than the assignment")
     if f.max_carrier_size() > n + 1:
@@ -267,10 +260,11 @@ class FillerParams:
     delta: Fraction
 
     def __post_init__(self):
-        if self.eps <= 0 or self.n < 0 or self.delta <= 0:
-            raise InputError("need eps > 0, n >= 0, delta > 0")
-        if not self.k > self.m >= 1:
-            raise InputError("need k > m >= 1")
+        _check_int(self.n, 0, "n")
+        _check_int(self.m, 1, "m")
+        _check_int(self.k, self.m + 1, "k")
+        if self.eps <= 0 or self.delta <= 0:
+            raise InputError("need eps > 0, delta > 0")
         cap = _filler_bound(self.eps, self.n) / 4
         for term in self.budget_terms():
             if not term < cap:
@@ -297,8 +291,7 @@ def choose_filler_params(eps, n: int) -> FillerParams:
     eps = Fraction(eps)
     if eps <= 0:
         raise InputError("eps must be positive")
-    if n < 0:
-        raise InputError("n must be nonnegative")
+    _check_int(n, 0, "n")
     cap = _filler_bound(eps, n) / 4
     m = int(3 / cap) + 1
     k = max(m + 1, int(Fraction(2 * (2 * n + 2) ** 2) / cap) + 1)
@@ -332,8 +325,7 @@ def blend_alpha(subset, m: int, cover: Cover) -> BlendFunction:
         raise InputError("the subset must be nonempty")
     if len(region) == n:
         raise InputError("the subset must be a proper subset")
-    if m < 1:
-        raise InputError("star depth m must be at least 1")
+    _check_int(m, 1, "m")
     q_raw = cover.chain.distances_from(region)
     # the m-fold star of the subset is its chain ball of radius m
     star_m = frozenset(x for x in range(n) if q_raw[x] is not None and q_raw[x] <= m)
@@ -352,9 +344,9 @@ def blend_alpha(subset, m: int, cover: Cover) -> BlendFunction:
 
 @dataclass(frozen=True)
 class RetractResult:
-    """A partial map made skeletal near the anchor set, plus bookkeeping."""
+    """The input map made skeletal near the anchor set, plus bookkeeping."""
 
-    pu: PartitionOfUnity                 # defined on the m-fold star of the anchors
+    pu: PartitionOfUnity                 # f outside the m-fold star of the anchors
     max_shift: Fraction                  # largest l1 move applied to any value
     shift_bound: Fraction                # m * delta, the expected ceiling for the shift
 
@@ -367,24 +359,26 @@ def skeletal_retract(f: PartitionOfUnity, subset, m: int, cover: Cover,
     subset of a shortest chain (least id on ties, c(x)=x on the subset).  All
     weight of f(x) outside the carrier of f(c(x)) moves onto one common
     carrier vertex: the common vertex of largest weight at the anchor, least
-    id on ties.  Values over the subset must use at most n+1 vertices, and
-    m*delta must stay below 1/(8(n+1)) so the two carriers share a vertex.
+    id on ties.  Outside the m-fold star the result equals f.  Values over
+    the subset must use at most n+1 vertices, and m*delta must stay below
+    1/(8(n+1)) so the two carriers share a vertex.
     """
     delta = Fraction(delta)
     region = _check_points(subset, f.n_points)
     if not region:
         raise InputError("the anchor subset must be nonempty")
-    if not f.is_total:
-        raise InputError("the retract needs a total assignment")
-    if m < 1:
-        raise InputError("star depth m must be at least 1")
+    _check_int(m, 1, "m")
+    _check_int(n, 0, "n")
+    if cover.n_points != f.n_points:
+        raise InputError("cover is over a different point set than the assignment")
     if not m * delta < Fraction(1, 8 * (n + 1)):
         raise PreconditionError(
             f"m*delta = {m * delta} is not below 1/{8 * (n + 1)}")
+    given = f.values
     for a in sorted(region):
-        if len(f.value(a).carrier) > n + 1:
+        if len(given[a].carrier) > n + 1:
             raise PreconditionError(
-                f"value at anchor {a} uses {len(f.value(a).carrier)} vertices "
+                f"value at anchor {a} uses {len(given[a].carrier)} vertices "
                 f"(allowed {n + 1})", witness=a)
 
     dist, anchor_of = _nearest_anchor(cover.chain, region)
@@ -392,19 +386,18 @@ def skeletal_retract(f: PartitionOfUnity, subset, m: int, cover: Cover,
     values: dict[int, BarycentricPoint] = {}
     max_shift = Fraction(0)
     for x, d in enumerate(dist):
+        fx = values[x] = given[x]
         if d is None or d > m:  # outside the m-fold star of the subset
             continue
         c = anchor_of[x]
-        fx = f.value(x)
-        fc_carrier = f.value(c).carrier
+        fc = given[c]
+        fc_carrier = fc.carrier
         if fx.carrier <= fc_carrier:
-            values[x] = fx
             continue
         common = fx.carrier & fc_carrier
         if not common:
             raise PreconditionError(
                 f"carriers at point {x} and its anchor {c} are disjoint", witness=x)
-        fc = f.value(c)
         target = min(common, key=lambda v: (-fc.num[v], v))
         moved = 0  # numerator over fx.den
         kept = {}

@@ -177,7 +177,7 @@ def _cmd_phi(args) -> int:
         "points": pu.n_points,
         "vertices": len(pu.vertices),
         "max_carrier": pu.max_carrier_size(),
-        "complex_dimension": pu.complex.dimension if pu.complex else None,
+        "complex_dimension": pu.complex.dimension,
         "weights_sum_to_one": True,  # enforced by construction; recorded for the document
     }
     _emit(doc, args.out)

@@ -100,6 +100,12 @@ def _check_count(n, what: str) -> None:
         raise InputError(f"{what} needs a positive number of points")
 
 
+def _check_int(value, least: int, name: str) -> None:
+    """A dimension or scale is an int of at least ``least``; a bool or a float is not one."""
+    if type(value) is not int or value < least:
+        raise InputError(f"{name} = {value!r} is not an int >= {least}")
+
+
 def _check_point(x, n: int) -> None:
     """A point of 0..n-1 is an int id in range; a bool or a float is not one."""
     if not (type(x) is int and 0 <= x < n):
@@ -311,8 +317,7 @@ def iterated_star(cover: Cover, k: int) -> Cover:
     it drops the kept level, grows each ball from its element and keeps the
     new level instead; level 0 leaves the kept level as it is.
     """
-    if k < 0:
-        raise InputError("star iteration count must be nonnegative")
+    _check_int(k, 0, "k")
     if k == 0:
         return cover
     tower = cover._star_tower
@@ -376,8 +381,7 @@ def interior(cover: Cover, region: Iterable[int], k: int,
 
     ``index`` may pass in ``chain_indices(cover, region)`` when the caller has it.
     """
-    if k < 0:
-        raise InputError("star iteration count must be nonnegative")
+    _check_int(k, 0, "k")
     inside = _check_points(region, cover.n_points)
     if index is None:
         index = chain_indices(cover, inside)

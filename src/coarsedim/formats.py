@@ -113,8 +113,6 @@ def load_space(text: str) -> FiniteCoarseSpace:
 
 
 def dump_pu(f: PartitionOfUnity) -> str:
-    if not f.is_total:
-        raise InputError("only total assignments are serialized")
     lines = ["partition-of-unity", f"points {f.n_points}",
              "vertices " + " ".join(str(v) for v in f.vertices)]
     for x in range(f.n_points):

@@ -9,8 +9,8 @@ from functools import cached_property
 from math import lcm
 from operator import add, itemgetter
 
-from .covers import (BoundednessCertificate, Cover, _check_count, _check_point,
-                     is_uniformly_bounded)
+from .covers import (BoundednessCertificate, Cover, _are_points, _check_count, _check_point,
+                     _check_points, is_uniformly_bounded)
 from .errors import InputError, PreconditionError
 from .pou import (_EXACT, BarycentricPoint, PartitionOfUnity, PUCertificate, certify_pu,
                   l1_distance)
@@ -95,7 +95,10 @@ class FiniteMetricSpace:
 
     def set_diameter(self, points) -> Fraction:
         """Largest distance between two points of the set (0 for <= 1 point)."""
-        pts = sorted(set(points))
+        given = set(points)
+        if not _are_points(given, self.n_points):
+            _check_points(given, self.n_points)  # names the offender
+        pts = sorted(given)
         if len(pts) < 2:
             return Fraction(0)
         den, rows = self._scaled
@@ -169,8 +172,8 @@ def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
     diameter_bound = Fraction(diameter_bound)
     if delta <= 0:
         raise InputError("delta must be positive")
-    if not f.is_total or f.n_points != metric.n_points:
-        raise InputError("the assignment must be total over the metric space")
+    if f.n_points != metric.n_points:
+        raise InputError("the assignment is over a different point set than the metric space")
     # for delta = p/q, gap = g/h and d = e/den the margin gap - (delta*d + delta)
     # is (g*q*den - p*(e + den)*h) / (h*q*den); all pairs share q*den, so the
     # margins compare as num/h

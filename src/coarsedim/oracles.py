@@ -170,7 +170,7 @@ def coarsening_by_points(f, cover: Cover):
     """(witnesses, first failing index) of the coarsening condition, point by point.
 
     Each element intersects the carrier of every one of its points in
-    ascending order, with no early stop; a point with no value raises.
+    ascending order, with no early stop.
     """
     witnesses = []
     failure = None
@@ -235,7 +235,7 @@ def l1_distance_fractions(a, b) -> Fraction:
 
 
 def dump_pu_fractions(f) -> str:
-    """The map file of a total assignment, each weight written from its reduced Fraction."""
+    """The map file of f, each weight written from its reduced Fraction."""
     lines = ["partition-of-unity", f"points {f.n_points}",
              "vertices " + " ".join(str(v) for v in f.vertices)]
     for x in range(f.n_points):

@@ -12,8 +12,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .covers import (BoundednessCertificate, Cover, _by_vertex, _check_count, _check_point,
-                     _check_points, _is_maximal, _maximal, chain_indices,
+from .covers import (BoundednessCertificate, Cover, _by_vertex, _check_count, _check_int,
+                     _check_point, _check_points, _is_maximal, _maximal, chain_indices,
                      is_uniformly_bounded)
 from .errors import ConstructionError, InputError
 
@@ -159,8 +159,7 @@ class SimplicialComplex:
     d_cap: int
 
     def __post_init__(self):
-        if self.d_cap < 0:
-            raise InputError("dimension cap must be nonnegative")
+        _check_int(self.d_cap, 0, "d_cap")
         universe = set(self.vertices)
         for f in self.facets:
             if not f:
@@ -197,19 +196,17 @@ def nerve(cover: Cover, d_cap: int) -> SimplicialComplex:
     set of one of the points, so the facets are exactly the maximal membership
     sets; intersections are checked exactly through them.
     """
-    if d_cap < 0:
-        raise InputError("dimension cap must be nonnegative")
     facets = frozenset(_maximal(map(frozenset, cover.membership)))
     return SimplicialComplex(tuple(range(len(cover.sets))), facets, d_cap)
 
 
 @dataclass(frozen=True, eq=False)
 class PartitionOfUnity:
-    """Assignment of a barycentric point to each point of the space.
+    """Assignment of a barycentric point to every point of the space.
 
-    ``values`` may cover only part of the space (a partial map); most
-    certification entry points require a total one.  When a target complex is
-    attached, every carrier must be one of its simplices.
+    The map is total: ``values`` holds exactly the points 0..n_points-1, and
+    the constructor names the least point without a value.  When a target
+    complex is attached, every carrier must be one of its simplices.
     """
 
     values: dict[int, BarycentricPoint]
@@ -220,6 +217,9 @@ class PartitionOfUnity:
     def __post_init__(self):
         _check_count(self.n_points, "a map")
         _check_points(self.values, self.n_points)
+        if len(self.values) != self.n_points:  # the keys are distinct points in range
+            missing = next(x for x in range(self.n_points) if x not in self.values)
+            raise InputError(f"no value assigned to point {missing}")
         universe = set(self.vertices)
         checked: set[frozenset[int]] = set()  # each distinct carrier is checked once
         for x, bp in self.values.items():
@@ -238,16 +238,9 @@ class PartitionOfUnity:
                     and self.vertices == other.vertices)
         return NotImplemented
 
-    @property
-    def is_total(self) -> bool:
-        return len(self.values) == self.n_points
-
     def value(self, x: int) -> BarycentricPoint:
         _check_point(x, self.n_points)
-        try:
-            return self.values[x]
-        except KeyError:
-            raise InputError(f"no value assigned to point {x}") from None
+        return self.values[x]
 
     def star_preimage(self, v: int) -> frozenset[int]:
         """Points whose value puts positive weight on vertex v."""
@@ -261,8 +254,6 @@ class PartitionOfUnity:
         One pass over the values puts each point in the preimage of every
         vertex of its carrier, which ``__post_init__`` keeps in ``vertices``.
         """
-        if not self.is_total:
-            raise InputError("star preimage cover needs a total assignment")
         pre: dict[int, list[int]] = {v: [] for v in self.vertices}
         for x, bp in self.values.items():
             for v in bp.num:
@@ -349,8 +340,6 @@ def variation(f: PartitionOfUnity, cover: Cover) -> VariationResult:
     """Largest l1 displacement of f over pairs contained in one cover element."""
     if cover.n_points != f.n_points:
         raise InputError("cover is over a different point set than the assignment")
-    if not f.is_total:
-        raise InputError("variation needs a total assignment")
     return _variation_scan(f.values, cover, l1_distance)
 
 
@@ -418,19 +407,16 @@ def coarsening_witnesses(f: PartitionOfUnity, cover: Cover):
     distinct carrier of an element is intersected once; ``barycentric_map``
     shares one frozenset per carrier.
     """
-    values = f.values
-    carrier = {x: bp.carrier for x, bp in values.items()}
+    if cover.n_points != f.n_points:
+        raise InputError("cover is over a different point set than the assignment")
+    carrier = {x: bp.carrier for x, bp in f.values.items()}
     witnesses: list[int | None] = []
     failure = None
     for i, s in enumerate(cover.sets):
         if not s:
             witnesses.append(None)
             continue
-        try:
-            common = frozenset.intersection(*set(map(carrier.__getitem__, s)))
-        except KeyError:
-            missing = min(x for x in s if x not in values)
-            raise InputError(f"no value assigned to point {missing}") from None
+        common = frozenset.intersection(*set(map(carrier.__getitem__, s)))
         if common:
             witnesses.append(min(common))
         else:
@@ -470,8 +456,6 @@ def certify_pu(f: PartitionOfUnity, cover: Cover, space, eps: Fraction | None,
     """
     if eps is not None and eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
-    if not f.is_total:
-        raise InputError("certification needs a total assignment")
     var = variation(f, cover)
     var_ok = eps is None or var.value < eps
     witnesses, failing = coarsening_witnesses(f, cover)

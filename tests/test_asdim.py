@@ -16,6 +16,7 @@ from coarsedim import (
     InputError,
     PartitionOfUnity,
     PreconditionError,
+    SimplicialComplex,
     barycentric_map,
     blend_alpha,
     build_skeleton_pu,
@@ -27,9 +28,11 @@ from coarsedim import (
     find_witness_bruteforce,
     gen_grid2d,
     gen_line,
+    interior,
     is_refinement,
     iterated_star,
     l1_distance,
+    nerve,
     scalar_variation,
     skeletal_retract,
     star_cover,
@@ -220,7 +223,7 @@ def test_trim_constant_map_passes_n_zero():
                  lambda: check_asdim_pair(line.space.gauge, whole, -1)):
         with pytest.raises(InputError) as err:
             call()
-        assert str(err.value) == "dimension n = -1 is negative"
+        assert str(err.value) == "n = -1 is not an int >= 0"
 
 
 def test_trim_line_pipeline():
@@ -296,6 +299,48 @@ def test_filler_params_rejects_bad_values():
         choose_filler_params(0, 1)
     with pytest.raises(InputError):
         FillerParams(eps=F(1), n=1, k=2, m=1, delta=F(1))
+
+
+_LINE6 = gen_line(6).space
+_CONST6 = PartitionOfUnity(dict.fromkeys(range(6), BarycentricPoint.vertex(0)), 6, (0,))
+
+
+@pytest.mark.parametrize("name, least, call", [
+    pytest.param("k", 0, lambda v: iterated_star(_LINE6.gauge, v), id="iterated_star-k"),
+    pytest.param("k", 0, lambda v: interior(_LINE6.gauge, {0, 1}, v), id="interior-k"),
+    pytest.param("d_cap", 0, lambda v: SimplicialComplex((0, 1), frozenset({frozenset({0, 1})}), v),
+                 id="SimplicialComplex-d_cap"),
+    pytest.param("d_cap", 0, lambda v: nerve(_LINE6.gauge, v), id="nerve-d_cap"),
+    pytest.param("n", 0, lambda v: check_asdim_pair(_LINE6.gauge, _LINE6.gauge, v),
+                 id="check_asdim_pair-n"),
+    pytest.param("n", 0, lambda v: find_witness_bruteforce(_LINE6, _LINE6.gauge, v, 2),
+                 id="find_witness_bruteforce-n"),
+    pytest.param("diameter", 0, lambda v: find_witness_bruteforce(_LINE6, _LINE6.gauge, 1, v),
+                 id="find_witness_bruteforce-diameter"),
+    pytest.param("k", 1, lambda v: build_skeleton_pu(_LINE6, _LINE6.gauge, _LINE6.gauge, v, 1, 5),
+                 id="build_skeleton_pu-k"),
+    pytest.param("n", 0, lambda v: build_skeleton_pu(_LINE6, _LINE6.gauge, _LINE6.gauge, 1, v, 5),
+                 id="build_skeleton_pu-n"),
+    pytest.param("n", 0, lambda v: trim_to_cover(_CONST6, _LINE6.gauge, v), id="trim_to_cover-n"),
+    pytest.param("n", 0, lambda v: FillerParams(eps=F(1), n=v, k=900, m=30, delta=F(1, 1000)),
+                 id="FillerParams-n"),
+    pytest.param("m", 1, lambda v: FillerParams(eps=F(1), n=0, k=900, m=v, delta=F(1, 1000)),
+                 id="FillerParams-m"),
+    pytest.param("k", 31, lambda v: FillerParams(eps=F(1), n=0, k=v, m=30, delta=F(1, 1000)),
+                 id="FillerParams-k"),
+    pytest.param("n", 0, lambda v: choose_filler_params(1, v), id="choose_filler_params-n"),
+    pytest.param("m", 1, lambda v: blend_alpha({0}, v, _LINE6.gauge), id="blend_alpha-m"),
+    pytest.param("m", 1, lambda v: skeletal_retract(_CONST6, {0}, v, _LINE6.gauge, F(1, 100), 0),
+                 id="skeletal_retract-m"),
+    pytest.param("n", 0, lambda v: skeletal_retract(_CONST6, {0}, 1, _LINE6.gauge, F(1, 100), v),
+                 id="skeletal_retract-n"),
+])
+def test_dimensions_and_scales_are_ints_of_at_least_their_least(name, least, call):
+    # one rule and one message: below the least, a float or a bool is refused before any use
+    for value in (least - 1, 1.5, True):
+        with pytest.raises(InputError) as err:
+            call(value)
+        assert str(err.value) == f"{name} = {value!r} is not an int >= {least}"
 
 
 # --- blend profile ----------------------------------------------------------------------
@@ -412,6 +457,15 @@ def test_retract_target_is_the_anchor_vertex_of_largest_weight():
         assert res.max_shift == F(1, 2)
 
 
+def test_retract_refuses_a_cover_over_other_points():
+    # the result has a value at every point of f, so the chain graph must be over them
+    pu = barycentric_map(gen_line(10).space.gauge, Cover.of([range(10)], 10))
+    for size in (8, 12):
+        with pytest.raises(InputError,
+                           match="^cover is over a different point set than the assignment$"):
+            skeletal_retract(pu, range(3), 1, gen_line(size).space.gauge, F(1, 100), 1)
+
+
 def test_retract_requires_small_shift_budget():
     line = gen_line(10)
     u = line.space.gauge
@@ -493,6 +547,10 @@ def test_nearest_anchor_and_star_regions_match_references(n, seed, connected, m)
     for _ in range(m):
         star = star_set_bruteforce(star, cover)
     assert blend_alpha(region, m, cover).star_region == star
-    const = PartitionOfUnity({x: BarycentricPoint.vertex(0) for x in range(n)}, n, (0,))
-    retract = skeletal_retract(const, region, m, cover, F(1, 16 * m), 0)
-    assert set(retract.pu.values) == star
+    # vertex 0 on the anchors and an even split elsewhere: the retract moves exactly
+    # the points of the m-star off the anchors, and equals f everywhere else
+    half = BarycentricPoint({0: F(1, 2), 1: F(1, 2)})
+    f = PartitionOfUnity({x: BarycentricPoint.vertex(0) if x in region else half
+                          for x in range(n)}, n, (0, 1))
+    retract = skeletal_retract(f, region, m, cover, F(1, 16 * m), 0)
+    assert {x for x in range(n) if retract.pu.values[x] != f.values[x]} == star - region

@@ -202,6 +202,10 @@ MISSING = None  # no file is written for this argument
                  "value 2 1 1 1", id="point-out-of-range"),
     pytest.param({"space": "line2", "pu": PU.replace("value 1 1", "value 1 7")},
                  "value 1 7 1 1", id="unknown-vertex"),
+    pytest.param({"space": "line2", "pu": PU.replace("value 0 0 1 1\n", "")},
+                 "no value assigned to point 0", id="point-without-value"),
+    pytest.param({"metric": METRIC, "pu": PU.replace("value 1 1 1 1\n", "")},
+                 "no value assigned to point 1", id="delta-point-without-value"),
     pytest.param({"space": "coarse-space\npoints 2\ngauge 0 : 0 1\n", "pu": PU},
                  "gauge 0 : 0 1", id="space-without-end"),
     pytest.param({"space": "coarse-space\npoints 2\ngauge 0 : 0 -1\nend\n", "pu": PU},
@@ -312,7 +316,7 @@ def test_malformed_fraction_argument_exits_two(capsys):
     pytest.param(["oracle", "asdim-witness", "--space", "line6", "--n", "-1", "--diam", "2"],
                  "n = -1", id="oracle-witness-negative-n"),
     pytest.param(["oracle", "asdim-witness", "--space", "line6", "--n", "1", "--diam", "-2"],
-                 "diameter -2", id="oracle-witness-negative-diam"),
+                 "diameter = -2", id="oracle-witness-negative-diam"),
 ])
 def test_bad_argument_exits_two_quoting_it(tmp_path, monkeypatch, capsys, argv, quote):
     monkeypatch.chdir(tmp_path)  # a command that wrongly passed would write here

@@ -12,6 +12,7 @@ from coarsedim import (
     Cover,
     ExtNat,
     FiniteCoarseSpace,
+    FiniteMetricSpace,
     INFINITY,
     InputError,
     PartitionOfUnity,
@@ -504,6 +505,7 @@ def test_chain_indices_reject_unknown_points():
     gauge = space.gauge
     index = chain_indices(gauge, {0, 1})
     const = PartitionOfUnity(dict.fromkeys(range(5), BarycentricPoint.vertex(0)), 5, (0,))
+    metric = FiniteMetricSpace.line(5)
     for region in ({0, 99}, {0, -3}, {0, 5}, {0, "1"}, {0, True}, {0.5}):
         bad = next(x for x in region if x != 0)
         for call in (lambda: chain_index(gauge, 0, region),
@@ -516,7 +518,8 @@ def test_chain_indices_reject_unknown_points():
                      lambda: blend_alpha(region, 1, gauge),
                      lambda: skeletal_retract(const, region, 1, gauge, 0, 0),
                      lambda: diameter_in_graph(region, gauge.chain),
-                     lambda: space.set_diameter(region)):
+                     lambda: space.set_diameter(region),
+                     lambda: metric.set_diameter(region)):
             with pytest.raises(InputError) as err:
                 call()
             assert str(err.value) == f"unknown point {bad!r}"

@@ -225,6 +225,14 @@ def test_load_pu_rejects_duplicate_value_line():
         load_pu(DUPLICATE_VALUE_PU)
 
 
+def test_load_pu_rejects_a_point_without_value_lines():
+    # a map is total: the least point with no value line is named at load time
+    text = ("partition-of-unity\npoints 4\nvertices 0 1\n"
+            "value 0 0 1 1\nvalue 2 1 1 1\nend\n")
+    with pytest.raises(InputError, match="^no value assigned to point 1$"):
+        load_pu(text)
+
+
 @pytest.mark.parametrize("values, message", [
     pytest.param("value 0 0 1 2\nvalue 0 1 1 0\n", "zero denominator in 'value 0 1 1 0'",
                  id="zero-denominator"),

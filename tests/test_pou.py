@@ -1,7 +1,6 @@
 """Barycentric points, nerves, variation, and the certificate conditions."""
 
 import random
-import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -108,7 +107,8 @@ def test_weight_error_messages():
         (lambda: const.value(True), "unknown point True"),
         (lambda: const.value(0.0), "unknown point 0.0"),
         (lambda: const.value(3), "unknown point 3"),
-        (lambda: PartitionOfUnity({0: BarycentricPoint.vertex(0)}, 3, (0,)).value(1),
+        # and a map is total: the least point without a value is named
+        (lambda: PartitionOfUnity({0: BarycentricPoint.vertex(0)}, 3, (0,)),
          "no value assigned to point 1"),
     ]
     for build, message in cases:
@@ -275,13 +275,14 @@ def test_star_preimage_cover_matches_per_vertex_preimages(n, seed, extra, partia
     values = {x: bp.blend(base.values[rng.randrange(n)], random_fraction(rng, 0, 1, 5))
               if rng.random() < 0.4 else bp for x, bp in base.values.items()}
     vertices = base.vertices + tuple(range(len(base.vertices), len(base.vertices) + extra))
+    order = tuple(rng.sample(vertices, len(vertices)))
     if partial and n > 1:
-        del values[rng.randrange(n)]
-    f = PartitionOfUnity(values, n, tuple(rng.sample(vertices, len(vertices))))
-    if not f.is_total:
-        with pytest.raises(InputError, match="^star preimage cover needs a total assignment$"):
-            f.star_preimage_cover()
+        dropped = rng.randrange(n)
+        del values[dropped]
+        with pytest.raises(InputError, match=f"^no value assigned to point {dropped}$"):
+            PartitionOfUnity(values, n, order)
         return
+    f = PartitionOfUnity(values, n, order)
     cover = f.star_preimage_cover()
     assert cover.sets == tuple(f.star_preimage(v) for v in f.vertices)
     assert cover.n_points == n and cover.allow_empty
@@ -528,12 +529,15 @@ def test_certify_condition_b_for_refining_pairs():
 
 
 def test_coarsening_witnesses_of_a_partial_map_name_the_missing_point():
-    # the intersection is empty after points 0 and 1, and points from 2 on have no value
+    # points from 2 on have no value: the map is refused before any certificate reads it
     values = {0: BarycentricPoint.vertex(0), 1: BarycentricPoint.vertex(1)}
     for n in (3, 5):
-        f = PartitionOfUnity(values, n, (0, 1))
         with pytest.raises(InputError, match="^no value assigned to point 2$"):
-            coarsening_witnesses(f, Cover.of([range(n)], n))
+            PartitionOfUnity(values, n, (0, 1))
+        # nor is a cover over more points read as reaching points without a value
+        with pytest.raises(InputError,
+                           match="^cover is over a different point set than the assignment$"):
+            coarsening_witnesses(PartitionOfUnity(values, 2, (0, 1)), Cover.of([range(n)], n))
 
 
 @settings(max_examples=150, deadline=None)
@@ -548,20 +552,13 @@ def test_coarsening_witnesses_match_point_by_point_oracle(n, seed, refining, par
         sets.insert(rng.randrange(len(sets) + 1), frozenset())
     cover = Cover(tuple(sets), n, allow_empty=empties)
     if partial:
-        # drop the last point of the first failing element, past an empty intersection
-        failing = coarsening_by_points(f, cover)[1]
-        if failing is None:
-            failing = rng.choice([i for i, s in enumerate(sets) if s])
-        dropped = {max(sets[failing])} | {x for x in range(n) if rng.random() < 0.2}
-        f = PartitionOfUnity({x: bp for x, bp in f.values.items() if x not in dropped},
+        # a map with points missing is refused, naming the least of them
+        dropped = {rng.randrange(n)} | {x for x in range(n) if rng.random() < 0.2}
+        with pytest.raises(InputError, match=f"^no value assigned to point {min(dropped)}$"):
+            PartitionOfUnity({x: bp for x, bp in f.values.items() if x not in dropped},
                              n, f.vertices)
-    try:
-        expected = coarsening_by_points(f, cover)
-    except InputError as e:
-        with pytest.raises(InputError, match=f"^{re.escape(str(e))}$"):
-            coarsening_witnesses(f, cover)
-    else:
-        assert coarsening_witnesses(f, cover) == expected
+        return
+    assert coarsening_witnesses(f, cover) == coarsening_by_points(f, cover)
 
 
 def test_certify_line_staggered_instance():
