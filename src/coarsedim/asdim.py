@@ -17,6 +17,8 @@ from .covers import (
     FiniteCoarseSpace,
     _check_int,
     _check_points,
+    _check_rational,
+    _check_same_points,
     chain_indices,
     diameter_in_graph,
     interior,
@@ -55,8 +57,7 @@ class AsdimPairCertificate:
 def check_asdim_pair(cover: Cover, witness: Cover, n: int) -> AsdimPairCertificate:
     """Pass iff every element of ``cover`` meets at most n+1 elements of ``witness``."""
     _check_int(n, 0, "n")
-    if cover.n_points != witness.n_points:
-        raise InputError("covers are over different point sets")
+    _check_same_points(cover, witness)
     counts = []
     for s in cover.sets:
         met: set[int] = set()
@@ -89,8 +90,7 @@ def find_witness_bruteforce(space: FiniteCoarseSpace, cover: Cover, n: int,
     if npts > BRUTE_FORCE_POINT_LIMIT:
         raise InputError(
             f"brute-force witness search is limited to {BRUTE_FORCE_POINT_LIMIT} points")
-    if cover.n_points != npts:
-        raise InputError("cover is over a different point set than the space")
+    _check_same_points(space, cover)
     graph = space.chain
     dist = [graph.distances_from([c]) for c in range(npts)]
 
@@ -206,8 +206,7 @@ def trim_to_cover(f: PartitionOfUnity, cover: Cover, n: int) -> TrimResult:
     ``cover`` and passes the n-count check against it.
     """
     _check_int(n, 0, "n")
-    if cover.n_points != f.n_points:
-        raise InputError("cover is over a different point set than the assignment")
+    _check_same_points(f, cover)
     if f.max_carrier_size() > n + 1:
         worst = next(x for x in sorted(f.values) if len(f.values[x].carrier) > n + 1)
         raise PreconditionError(
@@ -263,8 +262,8 @@ class FillerParams:
         _check_int(self.n, 0, "n")
         _check_int(self.m, 1, "m")
         _check_int(self.k, self.m + 1, "k")
-        if self.eps <= 0 or self.delta <= 0:
-            raise InputError("need eps > 0, delta > 0")
+        _check_rational(self.eps, 0, "eps")
+        _check_rational(self.delta, 0, "delta")
         cap = _filler_bound(self.eps, self.n) / 4
         for term in self.budget_terms():
             if not term < cap:
@@ -288,9 +287,7 @@ def choose_filler_params(eps, n: int) -> FillerParams:
     m is the least integer with 3/m below the cap, k the least integer above m
     with 2(2n+2)^2/k below the cap, and delta is half the cap divided by 2m+1.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    eps = _check_rational(eps, 0, "eps")
     _check_int(n, 0, "n")
     cap = _filler_bound(eps, n) / 4
     m = int(3 / cap) + 1
@@ -360,17 +357,16 @@ def skeletal_retract(f: PartitionOfUnity, subset, m: int, cover: Cover,
     weight of f(x) outside the carrier of f(c(x)) moves onto one common
     carrier vertex: the common vertex of largest weight at the anchor, least
     id on ties.  Outside the m-fold star the result equals f.  Values over
-    the subset must use at most n+1 vertices, and m*delta must stay below
-    1/(8(n+1)) so the two carriers share a vertex.
+    the subset must use at most n+1 vertices, and m*delta, for an exact
+    delta > 0, must stay below 1/(8(n+1)) so the two carriers share a vertex.
     """
-    delta = Fraction(delta)
+    delta = _check_rational(delta, 0, "delta")
     region = _check_points(subset, f.n_points)
     if not region:
         raise InputError("the anchor subset must be nonempty")
     _check_int(m, 1, "m")
     _check_int(n, 0, "n")
-    if cover.n_points != f.n_points:
-        raise InputError("cover is over a different point set than the assignment")
+    _check_same_points(f, cover)
     if not m * delta < Fraction(1, 8 * (n + 1)):
         raise PreconditionError(
             f"m*delta = {m * delta} is not below 1/{8 * (n + 1)}")

@@ -368,8 +368,15 @@ def _cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A flag error is an input error: exit 2 with an error document, as any other."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coarsedim",
         description="Cover algebra, nerve maps, and asymptotic-dimension "
                     "certificates on finite coarse spaces (exact arithmetic).")
@@ -486,8 +493,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except (InputError, PreconditionError, ConstructionError, OSError) as exc:
         # OSError: an input or output path that cannot be read or written

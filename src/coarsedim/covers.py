@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
@@ -30,7 +31,7 @@ class Cover:
     _star_tower = None
 
     def __post_init__(self):
-        _check_count(self.n_points, "a cover")
+        _check_int(self.n_points, 1, "n_points")
         if not self.sets:
             raise InputError("a cover needs at least one element")
         n = self.n_points
@@ -94,16 +95,30 @@ class Cover:
         return Cover(tuple(_maximal(self.sets)), self.n_points, self.allow_empty)
 
 
-def _check_count(n, what: str) -> None:
-    """A point count is a positive int; a bool or a float is not one."""
-    if type(n) is not int or n < 1:
-        raise InputError(f"{what} needs a positive number of points")
+_EXACT = {int, Fraction}  # the exact scalar types: weights, distances, eps, delta and bounds
 
 
 def _check_int(value, least: int, name: str) -> None:
-    """A dimension or scale is an int of at least ``least``; a bool or a float is not one."""
+    """A point count, dimension or scale is an int of at least ``least``; a bool is not one."""
     if type(value) is not int or value < least:
         raise InputError(f"{name} = {value!r} is not an int >= {least}")
+
+
+def _check_rational(value, least, name: str, strict: bool = True) -> Fraction:
+    """An int or a Fraction (never a bool, a float or a str) above ``least``, or at least it
+    when not ``strict``; returned as a Fraction."""
+    if type(value) not in _EXACT:
+        raise InputError(f"{name} = {value!r} is not an int or Fraction")
+    if value < least or strict and value == least:
+        raise InputError(f"{name} = {value} is not {'>' if strict else '>='} {least}")
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def _check_same_points(a, b) -> None:
+    """Two objects over points 0..n-1 must have one n; the message names both."""
+    if a.n_points != b.n_points:
+        raise InputError(f"{type(a).__name__} of {a.n_points} points and {type(b).__name__} "
+                         f"of {b.n_points} points are over different point sets")
 
 
 def _check_point(x, n: int) -> None:
@@ -155,9 +170,8 @@ class FiniteCoarseSpace:
     gauge: Cover
 
     def __post_init__(self):
-        _check_count(self.n_points, "a coarse space")
-        if self.gauge.n_points != self.n_points:
-            raise InputError("gauge is defined over a different point set")
+        _check_int(self.n_points, 1, "n_points")
+        _check_same_points(self, self.gauge)
         if self.gauge.has_empty_elements():
             raise InputError("gauge must not contain empty elements")
 
@@ -256,8 +270,7 @@ class RefinementCheck:
 
 def is_refinement(fine: Cover, coarse: Cover) -> RefinementCheck:
     """Check that every element of ``fine`` is contained in an element of ``coarse``."""
-    if fine.n_points != coarse.n_points:
-        raise InputError("covers are over different point sets")
+    _check_same_points(fine, coarse)
     assignment = []
     for t, s in enumerate(fine.sets):
         found = None
@@ -299,8 +312,7 @@ def star_cover(cover: Cover, against: Cover) -> Cover:
 
     Index set and order of ``cover`` are preserved.
     """
-    if cover.n_points != against.n_points:
-        raise InputError("covers are over different point sets")
+    _check_same_points(cover, against)
     return Cover(tuple(star_set(s, against) for s in cover.sets),
                  cover.n_points, cover.allow_empty)
 
@@ -398,8 +410,7 @@ def star_misfit(cover: Cover, k: int, coarse: Cover,
     ``inner`` may pass in those k-interiors, in coarse order, when the caller
     has them.
     """
-    if cover.n_points != coarse.n_points:
-        raise InputError("covers are over different point sets")
+    _check_same_points(cover, coarse)
     if inner is None:
         inner = [interior(cover, s, k) for s in coarse.sets]
     for t, s in enumerate(cover.sets):
@@ -478,12 +489,11 @@ def is_uniformly_bounded(cover: Cover, space, bound) -> BoundednessCertificate:
     """Check every element has diameter <= bound, as measured by ``space.set_diameter``.
 
     A coarse space measures chain diameter in its gauge (an ExtNat), a metric
-    space measures metric diameter (a Fraction).
+    space measures metric diameter (a Fraction).  The bound is an int or a
+    Fraction of at least 0, kept in the certificate as it was given.
     """
-    if bound < 0:
-        raise InputError(f"diameter bound {bound} is negative")
-    if cover.n_points != space.n_points:
-        raise InputError("cover is over a different point set than the space")
+    _check_rational(bound, 0, "bound", strict=False)
+    _check_same_points(cover, space)
     worst = space.set_diameter(())
     worst_set = None
     for s in dict.fromkeys(cover.sets):  # each distinct set once, by its least index

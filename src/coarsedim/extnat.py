@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import total_ordering
 
 
@@ -11,8 +12,9 @@ from functools import total_ordering
 class ExtNat:
     """A value in {0, 1, 2, ...} plus infinity.  ``None`` encodes infinity.
 
-    Comparisons treat infinity as larger than every finite value.  Infinity
-    is never coerced to an int.
+    An ExtNat compares with another and with an int or a Fraction, never a
+    bool or a float; infinity is larger than every finite value and is never
+    coerced to a number.
     """
 
     value: int | None = None
@@ -28,7 +30,7 @@ class ExtNat:
     def __eq__(self, other):
         if isinstance(other, ExtNat):
             return self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
+        if type(other) in (int, Fraction):
             return self.value == other
         return NotImplemented
 
@@ -36,28 +38,19 @@ class ExtNat:
         return hash(("ExtNat", self.value))
 
     def __lt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, ExtNat):
+            other = other.value
+        elif type(other) not in (int, Fraction):
             return NotImplemented
-        if not self.is_finite:
+        if self.value is None:
             return False
-        if not other.is_finite:
-            return True
-        return self.value < other.value
+        return other is None or self.value < other
 
     def __repr__(self):
         return "ExtNat(inf)" if self.value is None else f"ExtNat({self.value})"
 
     def __str__(self):
         return "inf" if self.value is None else str(self.value)
-
-
-def _coerce(other):
-    if isinstance(other, ExtNat):
-        return other
-    if isinstance(other, int) and not isinstance(other, bool):
-        return ExtNat(other)
-    return NotImplemented
 
 
 INFINITY = ExtNat(None)

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covers import Cover, FiniteCoarseSpace
-from .errors import InputError
+from .covers import Cover, FiniteCoarseSpace, _check_int, _check_rational
 from .metric import FiniteMetricSpace, ball_cover
 
 
@@ -32,9 +31,8 @@ class LineInstance:
         reaches the end of the line; the last interval is clipped.  Any window
         of at most half+1 consecutive points fits inside a single interval.
         """
+        _check_int(half, 1, "half")
         n = self.n
-        if half < 1:
-            raise InputError("interval half-length must be at least 1")
         if 2 * half >= n:
             return Cover.of([range(n)], n)
         sets = []
@@ -49,16 +47,14 @@ class LineInstance:
 
     def blocks(self, length: int) -> Cover:
         """Disjoint intervals of the given length (last one clipped)."""
+        _check_int(length, 1, "length")
         n = self.n
-        if length < 1:
-            raise InputError("block length must be at least 1")
         sets = [range(start, min(start + length, n)) for start in range(0, n, length)]
         return Cover.of(sets, n)
 
 
 def gen_line(n: int) -> LineInstance:
-    if n < 2:
-        raise InputError("a line needs at least 2 points")
+    _check_int(n, 2, "n")
     gauge = Cover.of([{i, i + 1} for i in range(n - 1)], n)
     return LineInstance(FiniteCoarseSpace(n, gauge))
 
@@ -73,9 +69,8 @@ class GridInstance:
 
     def bricks(self, brick: int) -> Cover:
         """Brick partition with alternate rows offset by half a brick."""
+        _check_int(brick, 1, "brick")
         width, height = self.width, self.height
-        if brick < 1:
-            raise InputError("brick length must be at least 1")
         sets = []
         for band_start in range(0, height, brick):
             band = range(band_start, min(band_start + brick, height))
@@ -90,8 +85,8 @@ class GridInstance:
 
 
 def gen_grid2d(width: int, height: int) -> GridInstance:
-    if width < 2 or height < 2:
-        raise InputError("a grid needs width and height at least 2")
+    _check_int(width, 2, "width")
+    _check_int(height, 2, "height")
     n = width * height
 
     def pid(x, y):
@@ -143,11 +138,8 @@ def gen_random_geometric(n: int, radius, seed: int) -> GeometricInstance:
     The gauge holds one singleton per point plus every pair within the radius,
     so the chain graph is exactly the geometric graph at that radius.
     """
-    if n < 1:
-        raise InputError("need at least one point")
-    radius = Fraction(radius)
-    if radius <= 0:
-        raise InputError("radius must be positive")
+    _check_int(n, 1, "n")
+    radius = _check_rational(radius, 0, "radius")
     rng = Lcg(seed)
     coords = tuple((rng.next_fraction(), rng.next_fraction()) for _ in range(n))
     metric = FiniteMetricSpace.from_l1_points(coords)

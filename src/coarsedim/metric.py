@@ -9,11 +9,11 @@ from functools import cached_property
 from math import lcm
 from operator import add, itemgetter
 
-from .covers import (BoundednessCertificate, Cover, _are_points, _check_count, _check_point,
-                     _check_points, is_uniformly_bounded)
+from .covers import (_EXACT, BoundednessCertificate, Cover, _are_points, _check_int,
+                     _check_point, _check_points, _check_rational, _check_same_points,
+                     is_uniformly_bounded)
 from .errors import InputError, PreconditionError
-from .pou import (_EXACT, BarycentricPoint, PartitionOfUnity, PUCertificate, certify_pu,
-                  l1_distance)
+from .pou import BarycentricPoint, PartitionOfUnity, PUCertificate, certify_pu, l1_distance
 
 
 @dataclass(frozen=True, init=False)
@@ -32,7 +32,7 @@ class FiniteMetricSpace:
     _scaled: tuple[int, tuple[tuple[int, ...], ...]] = field(repr=False)
 
     def __init__(self, n_points, dist, check_triangle: bool = True):
-        _check_count(n_points, "a metric space")
+        _check_int(n_points, 1, "n_points")
         rows = [tuple(row) for row in dist]
         if len(rows) != n_points or any(len(r) != n_points for r in rows):
             raise InputError("distance matrix shape does not match the point count")
@@ -108,9 +108,7 @@ class FiniteMetricSpace:
 
 def ball_cover(metric: FiniteMetricSpace, radius) -> Cover:
     """One closed ball per point, indexed by its center."""
-    radius = Fraction(radius)
-    if radius <= 0:
-        raise InputError("radius must be positive")
+    radius = _check_rational(radius, 0, "radius")
     den, rows = metric._scaled
     top = radius.numerator * den // radius.denominator  # d <= radius iff d*den <= top
     return Cover(tuple(frozenset(y for y, e in enumerate(row) if e <= top) for row in rows),
@@ -168,12 +166,9 @@ def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
     Each row after the first therefore skips the pairs beyond a distance
     threshold drawn from the worst margin at its start.
     """
-    delta = Fraction(delta)
-    diameter_bound = Fraction(diameter_bound)
-    if delta <= 0:
-        raise InputError("delta must be positive")
-    if f.n_points != metric.n_points:
-        raise InputError("the assignment is over a different point set than the metric space")
+    delta = _check_rational(delta, 0, "delta")
+    diameter_bound = _check_rational(diameter_bound, 0, "diameter_bound", strict=False)
+    _check_same_points(f, metric)
     # for delta = p/q, gap = g/h and d = e/den the margin gap - (delta*d + delta)
     # is (g*q*den - p*(e + den)*h) / (h*q*den); all pairs share q*den, so the
     # margins compare as num/h
@@ -220,6 +215,14 @@ def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
     )
 
 
+def _check_comparison_delta(delta) -> Fraction:
+    """The comparisons take an exact delta with 0 < delta < 2."""
+    delta = _check_rational(delta, 0, "delta")
+    if not delta < 2:
+        raise InputError(f"delta = {delta} is not < 2")
+    return delta
+
+
 def comparison_forward(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
                        diameter_bound) -> PUCertificate:
     """From a metric certificate at delta^2/4 to a ball-cover certificate at delta.
@@ -227,15 +230,14 @@ def comparison_forward(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
     Gates on the metric certificate first; a failed gate raises rather than
     reporting a comparison failure.
     """
-    delta = Fraction(delta)
-    if not 0 < delta < 2:
-        raise InputError("delta must lie strictly between 0 and 2")
+    delta = _check_comparison_delta(delta)
+    diameter_bound = _check_rational(diameter_bound, 0, "diameter_bound", strict=False)
     gate = certify_delta_pu(f, metric, delta * delta / 4, diameter_bound)
     if not gate.ok:
         raise PreconditionError(
             "input does not certify at delta^2/4 on the metric side", witness=gate)
     balls = ball_cover(metric, 1 / delta)
-    return certify_pu(f, balls, metric, delta, Fraction(diameter_bound))
+    return certify_pu(f, balls, metric, delta, diameter_bound)
 
 
 def comparison_backward(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
@@ -246,13 +248,11 @@ def comparison_backward(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
     must have elements of metric diameter at most 2/delta and pairwise
     Lebesgue number at least 1/delta.
     """
-    delta = Fraction(delta)
-    if not 0 < delta < 2:
-        raise InputError("delta must lie strictly between 0 and 2")
+    delta = _check_comparison_delta(delta)
+    diameter_bound = _check_rational(diameter_bound, 0, "diameter_bound", strict=False)
     if cover is None:
         cover = ball_cover(metric, 1 / delta)
-    if cover.n_points != metric.n_points:
-        raise InputError("cover is over a different point set than the metric space")
+    _check_same_points(metric, cover)
     max_diam = 2 / delta
     for i, s in enumerate(cover.sets):
         if metric.set_diameter(s) > max_diam:
@@ -262,7 +262,7 @@ def comparison_backward(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
     if pair is not None:
         raise PreconditionError(
             f"pair {pair} is closer than 1/delta but shares no element", witness=pair)
-    gate = certify_pu(f, cover, metric, delta, Fraction(diameter_bound))
+    gate = certify_pu(f, cover, metric, delta, diameter_bound)
     if not gate.ok:
         raise PreconditionError(
             "input does not certify against the cover at delta", witness=gate)

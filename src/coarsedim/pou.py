@@ -12,12 +12,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .covers import (BoundednessCertificate, Cover, _by_vertex, _check_count, _check_int,
-                     _check_point, _check_points, _is_maximal, _maximal, chain_indices,
-                     is_uniformly_bounded)
+from .covers import (_EXACT, BoundednessCertificate, Cover, _by_vertex, _check_int, _check_point,
+                     _check_points, _check_rational, _check_same_points, _is_maximal, _maximal,
+                     chain_indices, is_uniformly_bounded)
 from .errors import ConstructionError, InputError
-
-_EXACT = {int, Fraction}  # the types of BarycentricPoint weights and FiniteMetricSpace entries
 
 
 class BarycentricPoint:
@@ -92,10 +90,10 @@ class BarycentricPoint:
         return Fraction(self.num.get(v, 0), self.den)
 
     def blend(self, other: "BarycentricPoint", alpha: Fraction) -> "BarycentricPoint":
-        """Convex combination alpha*self + (1-alpha)*other."""
-        alpha = Fraction(alpha)
-        if not 0 <= alpha <= 1:
-            raise InputError(f"blend coefficient {alpha} outside [0, 1]")
+        """Convex combination alpha*self + (1-alpha)*other, for an exact alpha in [0, 1]."""
+        alpha = _check_rational(alpha, 0, "alpha", strict=False)
+        if alpha > 1:
+            raise InputError(f"alpha = {alpha} is not <= 1")
         if alpha == 1:
             return self
         if alpha == 0:
@@ -215,7 +213,7 @@ class PartitionOfUnity:
     complex: SimplicialComplex | None = None
 
     def __post_init__(self):
-        _check_count(self.n_points, "a map")
+        _check_int(self.n_points, 1, "n_points")
         _check_points(self.values, self.n_points)
         if len(self.values) != self.n_points:  # the keys are distinct points in range
             missing = next(x for x in range(self.n_points) if x not in self.values)
@@ -338,25 +336,28 @@ def _variation_scan(values: dict[int, object], cover: Cover, distance) -> Variat
 
 def variation(f: PartitionOfUnity, cover: Cover) -> VariationResult:
     """Largest l1 displacement of f over pairs contained in one cover element."""
-    if cover.n_points != f.n_points:
-        raise InputError("cover is over a different point set than the assignment")
+    _check_same_points(f, cover)
     return _variation_scan(f.values, cover, l1_distance)
 
 
 def scalar_variation(values, cover: Cover) -> VariationResult:
-    """Variation of a rational-valued function given as a sequence over all points."""
-    vals = [Fraction(v) for v in values]
+    """Variation of a function given as one int or Fraction per point, as a weight is."""
+    vals = list(values)
+    for x, v in enumerate(vals):
+        if type(v) not in _EXACT:
+            raise InputError(f"value {v!r} at point {x} is not an int or Fraction")
     if len(vals) != cover.n_points:
         raise InputError("need one value per point")
-    return _variation_scan(dict(enumerate(vals)), cover, lambda a, b: abs(a - b))
+    return _variation_scan(dict(enumerate(map(Fraction, vals))), cover, lambda a, b: abs(a - b))
 
 
 def quotient_variation_bound(m, n) -> Fraction:
-    """Certified variation bound (n+1)/m for a quotient p/q with p <= q, q >= m."""
-    m = Fraction(m)
-    if m <= 0:
-        raise InputError("lower bound m must be positive")
-    return (Fraction(n) + 1) / m
+    """Certified variation bound (n+1)/m for a quotient p/q with p <= q, q >= m > 0.
+
+    n >= 0 bounds the variation of the denominators q, so it is a rational too.
+    """
+    m = _check_rational(m, 0, "m")
+    return (_check_rational(n, 0, "n", strict=False) + 1) / m
 
 
 def barycentric_map(chain_cover: Cover, target_cover: Cover, d_cap: int | None = None) -> PartitionOfUnity:
@@ -368,8 +369,7 @@ def barycentric_map(chain_cover: Cover, target_cover: Cover, d_cap: int | None =
     carries the nerve (capped at the largest multiplicity by default) and its
     carriers are verified against it.
     """
-    if chain_cover.n_points != target_cover.n_points:
-        raise InputError("covers are over different point sets")
+    _check_same_points(chain_cover, target_cover)
     n = chain_cover.n_points
     index_of_element = [chain_indices(chain_cover, s) for s in target_cover.sets]
     values: dict[int, BarycentricPoint] = {}
@@ -407,8 +407,7 @@ def coarsening_witnesses(f: PartitionOfUnity, cover: Cover):
     distinct carrier of an element is intersected once; ``barycentric_map``
     shares one frozenset per carrier.
     """
-    if cover.n_points != f.n_points:
-        raise InputError("cover is over a different point set than the assignment")
+    _check_same_points(f, cover)
     carrier = {x: bp.carrier for x, bp in f.values.items()}
     witnesses: list[int | None] = []
     failure = None
@@ -450,19 +449,20 @@ def certify_pu(f: PartitionOfUnity, cover: Cover, space, eps: Fraction | None,
                diameter_bound) -> PUCertificate:
     """Certify f as a partition of unity against ``cover`` at bound ``eps``.
 
-    ``eps=None`` means no variation bound.  Star preimage boundedness is
-    ``space.set_diameter`` against ``diameter_bound``: chain diameter in the
-    gauge of a FiniteCoarseSpace, metric diameter in a FiniteMetricSpace.
+    ``eps`` is an int or Fraction above 0, or None for no variation bound.
+    Star preimage boundedness is ``space.set_diameter`` against
+    ``diameter_bound``: chain diameter in the gauge of a FiniteCoarseSpace,
+    metric diameter in a FiniteMetricSpace.
     """
-    if eps is not None and eps <= 0:
-        raise InputError(f"eps must be positive, got {eps}")
+    if eps is not None:
+        eps = _check_rational(eps, 0, "eps")
     var = variation(f, cover)
     var_ok = eps is None or var.value < eps
     witnesses, failing = coarsening_witnesses(f, cover)
     coarsen_ok = failing is None
     bcert = is_uniformly_bounded(f.star_preimage_cover(), space, diameter_bound)
     return PUCertificate(
-        eps=None if eps is None else Fraction(eps),
+        eps=eps,
         variation_value=var.value,
         variation_pair=var.pair,
         variation_ok=var_ok,

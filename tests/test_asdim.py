@@ -13,29 +13,39 @@ from coarsedim import (
     Cover,
     FillerParams,
     FiniteCoarseSpace,
+    FiniteMetricSpace,
     InputError,
     PartitionOfUnity,
     PreconditionError,
     SimplicialComplex,
+    ball_cover,
     barycentric_map,
     blend_alpha,
     build_skeleton_pu,
+    certify_delta_pu,
     certify_pu,
     chain_indices,
     check_asdim_pair,
     choose_filler_params,
+    coarsening_witnesses,
+    comparison_backward,
+    comparison_forward,
     filler,
     find_witness_bruteforce,
     gen_grid2d,
     gen_line,
+    gen_random_geometric,
     interior,
     is_refinement,
+    is_uniformly_bounded,
     iterated_star,
     l1_distance,
     nerve,
+    quotient_variation_bound,
     scalar_variation,
     skeletal_retract,
     star_cover,
+    star_misfit,
     trim_to_cover,
     variation,
 )
@@ -334,6 +344,21 @@ _CONST6 = PartitionOfUnity(dict.fromkeys(range(6), BarycentricPoint.vertex(0)), 
                  id="skeletal_retract-m"),
     pytest.param("n", 0, lambda v: skeletal_retract(_CONST6, {0}, 1, _LINE6.gauge, F(1, 100), v),
                  id="skeletal_retract-n"),
+    pytest.param("n", 2, gen_line, id="gen_line-n"),
+    pytest.param("half", 1, lambda v: gen_line(6).staggered(v), id="staggered-half"),
+    pytest.param("length", 1, lambda v: gen_line(6).blocks(v), id="blocks-length"),
+    pytest.param("width", 2, lambda v: gen_grid2d(v, 3), id="gen_grid2d-width"),
+    pytest.param("height", 2, lambda v: gen_grid2d(3, v), id="gen_grid2d-height"),
+    pytest.param("brick", 1, lambda v: gen_grid2d(3, 3).bricks(v), id="bricks-brick"),
+    pytest.param("n", 1, lambda v: gen_random_geometric(v, F(1, 4), 1),
+                 id="gen_random_geometric-n"),
+    pytest.param("n_points", 1, lambda v: Cover.of([[0]], v), id="Cover-n_points"),
+    pytest.param("n_points", 1, lambda v: FiniteCoarseSpace(v, _LINE6.gauge),
+                 id="FiniteCoarseSpace-n_points"),
+    pytest.param("n_points", 1, lambda v: PartitionOfUnity({}, v, ()),
+                 id="PartitionOfUnity-n_points"),
+    pytest.param("n_points", 1, lambda v: FiniteMetricSpace(v, [[0]]),
+                 id="FiniteMetricSpace-n_points"),
 ])
 def test_dimensions_and_scales_are_ints_of_at_least_their_least(name, least, call):
     # one rule and one message: below the least, a float or a bool is refused before any use
@@ -341,6 +366,125 @@ def test_dimensions_and_scales_are_ints_of_at_least_their_least(name, least, cal
         with pytest.raises(InputError) as err:
             call(value)
         assert str(err.value) == f"{name} = {value!r} is not an int >= {least}"
+
+
+_METRIC6 = FiniteMetricSpace.line(6)
+_VERTEX0 = BarycentricPoint.vertex(0)
+
+
+@pytest.mark.parametrize("name, least, strict, call", [
+    pytest.param("eps", 0, True, lambda v: certify_pu(_CONST6, _LINE6.gauge, _LINE6, v, 5),
+                 id="certify_pu-eps"),
+    pytest.param("bound", 0, False, lambda v: is_uniformly_bounded(_LINE6.gauge, _LINE6, v),
+                 id="is_uniformly_bounded-bound"),
+    pytest.param("alpha", 0, False, lambda v: _VERTEX0.blend(BarycentricPoint.vertex(1), v),
+                 id="blend-alpha"),
+    pytest.param("eps", 0, True, lambda v: FillerParams(eps=v, n=0, k=900, m=30, delta=F(1, 1000)),
+                 id="FillerParams-eps"),
+    pytest.param("delta", 0, True, lambda v: FillerParams(eps=F(1), n=0, k=900, m=30, delta=v),
+                 id="FillerParams-delta"),
+    pytest.param("eps", 0, True, lambda v: choose_filler_params(v, 1),
+                 id="choose_filler_params-eps"),
+    pytest.param("delta", 0, True, lambda v: skeletal_retract(_CONST6, {0}, 1, _LINE6.gauge, v, 0),
+                 id="skeletal_retract-delta"),
+    pytest.param("delta", 0, True, lambda v: certify_delta_pu(_CONST6, _METRIC6, v, 5),
+                 id="certify_delta_pu-delta"),
+    pytest.param("diameter_bound", 0, False,
+                 lambda v: certify_delta_pu(_CONST6, _METRIC6, F(1, 2), v),
+                 id="certify_delta_pu-diameter_bound"),
+    pytest.param("radius", 0, True, lambda v: ball_cover(_METRIC6, v), id="ball_cover-radius"),
+    pytest.param("delta", 0, True, lambda v: comparison_forward(_CONST6, _METRIC6, v, 5),
+                 id="comparison_forward-delta"),
+    pytest.param("diameter_bound", 0, False,
+                 lambda v: comparison_forward(_CONST6, _METRIC6, F(1, 2), v),
+                 id="comparison_forward-diameter_bound"),
+    pytest.param("delta", 0, True, lambda v: comparison_backward(_CONST6, _METRIC6, v, 5),
+                 id="comparison_backward-delta"),
+    pytest.param("diameter_bound", 0, False,
+                 lambda v: comparison_backward(_CONST6, _METRIC6, F(1, 2), v),
+                 id="comparison_backward-diameter_bound"),
+    pytest.param("radius", 0, True, lambda v: gen_random_geometric(3, v, 1),
+                 id="gen_random_geometric-radius"),
+    pytest.param("m", 0, True, lambda v: quotient_variation_bound(v, 1),
+                 id="quotient_variation_bound-m"),
+    pytest.param("n", 0, False, lambda v: quotient_variation_bound(1, v),
+                 id="quotient_variation_bound-n"),
+])
+def test_exact_rationals_are_ints_or_fractions_above_their_least(name, least, strict, call):
+    # one rule and two messages: out of range names the value, a float, bool or str its type
+    out = least if strict else least - 1
+    with pytest.raises(InputError) as err:
+        call(out)
+    assert str(err.value) == f"{name} = {out} is not {'>' if strict else '>='} {least}"
+    for value in (0.5, True, "1/2"):
+        with pytest.raises(InputError) as err:
+            call(value)
+        assert str(err.value) == f"{name} = {value!r} is not an int or Fraction"
+
+
+def test_exact_rationals_keep_their_upper_checks():
+    with pytest.raises(InputError, match="^alpha = 3/2 is not <= 1$"):
+        _VERTEX0.blend(_VERTEX0, F(3, 2))
+    for compare in (comparison_forward, comparison_backward):
+        with pytest.raises(InputError, match="^delta = 2 is not < 2$"):
+            compare(_CONST6, _METRIC6, 2, 5)
+
+
+def test_a_fraction_bound_on_a_coarse_space_decides_as_its_floor():
+    space = gen_line(30).space
+    pu = barycentric_map(space.gauge, gen_line(30).blocks(7))
+    for bound in (F(11, 2), F(6), F(13, 2), F(7), F(29, 4), F(1, 3)):
+        floor = bound.numerator // bound.denominator
+        at, at_floor = (is_uniformly_bounded(pu.star_preimage_cover(), space, b)
+                        for b in (bound, floor))
+        assert (at.ok, at.max_diameter, at.witness) == (
+            at_floor.ok, at_floor.max_diameter, at_floor.witness)
+        assert at.bound is bound  # kept as it was given
+        assert certify_pu(pu, space.gauge, space, 1, bound).ok == \
+            certify_pu(pu, space.gauge, space, 1, floor).ok
+
+
+_OTHER = "Cover of {n} points"
+
+
+@pytest.mark.parametrize("call, first, second", [
+    pytest.param(lambda g, met: FiniteCoarseSpace(6, g), "FiniteCoarseSpace of 6 points", _OTHER,
+                 id="FiniteCoarseSpace"),
+    pytest.param(lambda g, met: is_refinement(_LINE6.gauge, g), "Cover of 6 points", _OTHER,
+                 id="is_refinement"),
+    pytest.param(lambda g, met: star_cover(_LINE6.gauge, g), "Cover of 6 points", _OTHER,
+                 id="star_cover"),
+    pytest.param(lambda g, met: star_misfit(_LINE6.gauge, 1, g), "Cover of 6 points", _OTHER,
+                 id="star_misfit"),
+    pytest.param(lambda g, met: is_uniformly_bounded(g, _LINE6, 3), _OTHER,
+                 "FiniteCoarseSpace of 6 points", id="is_uniformly_bounded"),
+    pytest.param(lambda g, met: variation(_CONST6, g), "PartitionOfUnity of 6 points", _OTHER,
+                 id="variation"),
+    pytest.param(lambda g, met: barycentric_map(_LINE6.gauge, g), "Cover of 6 points", _OTHER,
+                 id="barycentric_map"),
+    pytest.param(lambda g, met: coarsening_witnesses(_CONST6, g), "PartitionOfUnity of 6 points",
+                 _OTHER, id="coarsening_witnesses"),
+    pytest.param(lambda g, met: check_asdim_pair(_LINE6.gauge, g, 1), "Cover of 6 points", _OTHER,
+                 id="check_asdim_pair"),
+    pytest.param(lambda g, met: find_witness_bruteforce(_LINE6, g, 1, 2),
+                 "FiniteCoarseSpace of 6 points", _OTHER, id="find_witness_bruteforce"),
+    pytest.param(lambda g, met: trim_to_cover(_CONST6, g, 0), "PartitionOfUnity of 6 points",
+                 _OTHER, id="trim_to_cover"),
+    pytest.param(lambda g, met: skeletal_retract(_CONST6, {0}, 1, g, F(1, 100), 0),
+                 "PartitionOfUnity of 6 points", _OTHER, id="skeletal_retract"),
+    pytest.param(lambda g, met: certify_delta_pu(_CONST6, met, 1, 5),
+                 "PartitionOfUnity of 6 points", "FiniteMetricSpace of {n} points",
+                 id="certify_delta_pu"),
+    pytest.param(lambda g, met: comparison_backward(_CONST6, _METRIC6, 1, 5, g),
+                 "FiniteMetricSpace of 6 points", _OTHER, id="comparison_backward"),
+])
+def test_objects_over_other_points_are_named_with_their_counts(call, first, second):
+    # one rule and one message, whichever object has more points
+    for n in (5, 7):
+        with pytest.raises(InputError) as err:
+            call(gen_line(n).space.gauge, FiniteMetricSpace.line(n))
+        expected = f"{first} and {second} are over different point sets".format(n=n)
+        assert str(err.value) == expected
 
 
 # --- blend profile ----------------------------------------------------------------------
@@ -461,8 +605,8 @@ def test_retract_refuses_a_cover_over_other_points():
     # the result has a value at every point of f, so the chain graph must be over them
     pu = barycentric_map(gen_line(10).space.gauge, Cover.of([range(10)], 10))
     for size in (8, 12):
-        with pytest.raises(InputError,
-                           match="^cover is over a different point set than the assignment$"):
+        with pytest.raises(InputError, match=f"^PartitionOfUnity of 10 points and Cover of {size} "
+                                             "points are over different point sets$"):
             skeletal_retract(pu, range(3), 1, gen_line(size).space.gauge, F(1, 100), 1)
 
 

@@ -236,7 +236,7 @@ MISSING = None  # no file is written for this argument
     pytest.param({"space": MISSING, "pu": PU}, "space.txt", id="missing-space"),
     pytest.param({"metric": MISSING, "pu": PU}, "metric.txt", id="missing-metric"),
     pytest.param({"metric": "line0", "pu": PU},
-                 "a metric space needs a positive number of points", id="metric-line0"),
+                 "n_points = 0 is not an int >= 1", id="metric-line0"),
 ])
 def test_malformed_input_exits_two_with_error_document(tmp_path, capsys, files, quote):
     argv = ["certify", "pu" if "space" in files else "delta"]
@@ -293,30 +293,39 @@ def test_malformed_fraction_argument_exits_two(capsys):
     pytest.param(["gen", "random-geometric", "--n", "5", "--radius", "inf", "--seed", "1"],
                  "--radius 'inf'", id="gen-infinite-radius"),
     pytest.param(["certify", "pu", "--space", "line2", "--pu", "pu.txt", "--cover", "gauge",
-                  "--eps", "1", "--diam", "-1"], "bound -1", id="certify-pu-negative-diam"),
+                  "--eps", "1", "--diam", "-1"], "bound = -1 is not >= 0",
+                 id="certify-pu-negative-diam"),
     pytest.param(["certify", "pu", "--space", "line2", "--pu", "pu.txt", "--cover", "gauge",
-                  "--eps", "0", "--diam", "1"], "eps must be positive, got 0",
+                  "--eps", "0", "--diam", "1"], "eps = 0 is not > 0",
                  id="certify-pu-zero-eps"),
     pytest.param(["certify", "pu", "--space", "line2", "--pu", "pu.txt", "--cover", "gauge",
-                  "--eps", "-1", "--diam", "1"], "eps must be positive, got -1",
+                  "--eps", "-1", "--diam", "1"], "eps = -1 is not > 0",
                  id="certify-pu-negative-eps"),
     pytest.param(["certify", "pu", "--space", "line2", "--pu", "pu.txt", "--cover", "gauge",
-                  "--eps", "1/-2", "--diam", "1"], "eps must be positive, got -1/2",
+                  "--eps", "1/-2", "--diam", "1"], "eps = -1/2 is not > 0",
                  id="certify-pu-negative-fraction-eps"),
     pytest.param(["asdim", "skeleton", "--space", "line30", "--k", "1", "--n", "1",
-                  "--diam", "-1"], "bound -1", id="skeleton-negative-diam"),
+                  "--diam", "-1"], "bound = -1 is not >= 0", id="skeleton-negative-diam"),
     pytest.param(["asdim", "roundtrip", "--space", "line30", "--k", "1", "--n", "1",
-                  "--diam", "-1"], "bound -1", id="roundtrip-negative-diam"),
+                  "--diam", "-1"], "bound = -1 is not >= 0", id="roundtrip-negative-diam"),
     pytest.param(["filler", "--space", "line60", "--n", "1", "--eps", "1", "--a-end", "10",
-                  "--diam", "-1"], "bound -1", id="filler-negative-diam"),
+                  "--diam", "-1"], "bound = -1 is not >= 0", id="filler-negative-diam"),
     pytest.param(["certify", "delta", "--metric", "line2", "--pu", "pu.txt", "--delta", "1",
-                  "--diam", "-1"], "bound -1", id="certify-delta-negative-diam"),
+                  "--diam", "-1"], "bound = -1 is not >= 0", id="certify-delta-negative-diam"),
     pytest.param(["asdim", "check", "--space", "line10", "--cover-u", "gauge",
                   "--cover-v", "gauge", "--n", "-1"], "n = -1", id="asdim-check-negative-n"),
     pytest.param(["oracle", "asdim-witness", "--space", "line6", "--n", "-1", "--diam", "2"],
                  "n = -1", id="oracle-witness-negative-n"),
     pytest.param(["oracle", "asdim-witness", "--space", "line6", "--n", "1", "--diam", "-2"],
                  "diameter = -2", id="oracle-witness-negative-diam"),
+    # flag errors that argparse finds keep the contract too: exit 2 with an error document
+    pytest.param(["asdim", "check", "--space", "line10", "--cover-u", "gauge", "--cover-v",
+                  "gauge", "--n", "x"], "argument --n: invalid int value: 'x'",
+                 id="flag-not-an-int"),
+    pytest.param(["bogus"], "invalid choice: 'bogus'", id="unknown-subcommand"),
+    pytest.param(["asdim", "check", "--space", "line10", "--cover-u", "gauge", "--cover-v",
+                  "gauge"], "the following arguments are required: --n",
+                 id="missing-required-flag"),
 ])
 def test_bad_argument_exits_two_quoting_it(tmp_path, monkeypatch, capsys, argv, quote):
     monkeypatch.chdir(tmp_path)  # a command that wrongly passed would write here
@@ -328,6 +337,13 @@ def test_bad_argument_exits_two_quoting_it(tmp_path, monkeypatch, capsys, argv, 
     assert doc["error"] == "InputError"
     assert quote in doc["detail"]
     assert "Traceback" not in captured.err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: coarsedim" in capsys.readouterr().out
 
 
 # --- golden bytes ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -516,7 +517,7 @@ def test_chain_indices_reject_unknown_points():
                      lambda: gauge.multiplicity(bad),
                      lambda: chain_index(gauge, bad, {0}),
                      lambda: blend_alpha(region, 1, gauge),
-                     lambda: skeletal_retract(const, region, 1, gauge, 0, 0),
+                     lambda: skeletal_retract(const, region, 1, gauge, Fraction(1, 100), 0),
                      lambda: diameter_in_graph(region, gauge.chain),
                      lambda: space.set_diameter(region),
                      lambda: metric.set_diameter(region)):
@@ -764,14 +765,16 @@ def test_shrink_clauses_property(n, seed):
 # --- spaces ---------------------------------------------------------------------
 
 def test_space_rejects_mismatched_gauge():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^FiniteCoarseSpace of 3 points and Cover of 2 points "
+                                         "are over different point sets$"):
         FiniteCoarseSpace(3, Cover.of([[0, 1]], 2))
     # 6.0 == 6 and True == 1, but neither is a count
-    with pytest.raises(InputError, match="^a coarse space needs a positive number of points$"):
+    with pytest.raises(InputError, match=r"^n_points = 6\.0 is not an int >= 1$"):
         FiniteCoarseSpace(6.0, gen_line(6).space.gauge)
     for n in (3.0, True):
-        with pytest.raises(InputError, match="^a cover needs a positive number of points$"):
+        with pytest.raises(InputError) as err:
             Cover.of([[0]], n)
+        assert str(err.value) == f"n_points = {n!r} is not an int >= 1"
 
 
 def test_extnat_ordering():
@@ -779,6 +782,12 @@ def test_extnat_ordering():
     assert not INFINITY < ExtNat(3)
     assert INFINITY <= INFINITY
     assert ExtNat(4) == 4 and ExtNat(4) <= 4
+    # an int or a Fraction compares exactly; a float or a bool does not compare at all
+    assert ExtNat(3) <= Fraction(7, 2) < ExtNat(4) and ExtNat(3) == Fraction(3)
+    assert Fraction(10 ** 9) < INFINITY and not INFINITY <= Fraction(10 ** 9)
+    for bad in (3.5, True):
+        with pytest.raises(TypeError):
+            ExtNat(3) < bad
     # only a nonnegative int or None: a bool or a float is not a natural number
     for bad in (-1, True, False, 1.0, "1"):
         with pytest.raises(ValueError):

@@ -69,14 +69,14 @@ def test_metric_rejects_asymmetry():
     pytest.param(lambda: FiniteMetricSpace(2, [[0, True], [True, 0]]),
                  "distance (0, 1) is True, not an int or Fraction", id="bool"),
     pytest.param(lambda: FiniteMetricSpace(0, []),
-                 "a metric space needs a positive number of points", id="no-points"),
+                 "n_points = 0 is not an int >= 1", id="no-points"),
     pytest.param(lambda: FiniteMetricSpace(-1, []),
-                 "a metric space needs a positive number of points", id="negative-points"),
+                 "n_points = -1 is not an int >= 1", id="negative-points"),
     # a count and a point are ints: 2.0 and True are neither, though 2.0 == 2 and True == 1
     pytest.param(lambda: FiniteMetricSpace(2.0, [[0, 1], [1, 0]]),
-                 "a metric space needs a positive number of points", id="float-count"),
+                 "n_points = 2.0 is not an int >= 1", id="float-count"),
     pytest.param(lambda: FiniteMetricSpace(True, [[0]]),
-                 "a metric space needs a positive number of points", id="bool-count"),
+                 "n_points = True is not an int >= 1", id="bool-count"),
     pytest.param(lambda: FiniteMetricSpace.line(3).d(True, 0), "unknown point True",
                  id="bool-point"),
     pytest.param(lambda: FiniteMetricSpace.line(3).d(0.5, 1), "unknown point 0.5",

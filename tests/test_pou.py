@@ -397,6 +397,15 @@ def test_scalar_variation_matches_pair_scan():
         assert (res.value, res.pair) == expected
 
 
+def test_scalar_variation_refuses_inexact_values():
+    # as a weight is: 0.1 would be read as a binary fraction, not as 1/10
+    cover = Cover.of([[0, 1]], 2)
+    for bad in (0.1, True, "1/2"):
+        with pytest.raises(InputError) as err:
+            scalar_variation([F(1, 2), bad], cover)
+        assert str(err.value) == f"value {bad!r} at point 1 is not an int or Fraction"
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 10_000), st.booleans(), st.booleans(),
        st.booleans())
@@ -535,8 +544,8 @@ def test_coarsening_witnesses_of_a_partial_map_name_the_missing_point():
         with pytest.raises(InputError, match="^no value assigned to point 2$"):
             PartitionOfUnity(values, n, (0, 1))
         # nor is a cover over more points read as reaching points without a value
-        with pytest.raises(InputError,
-                           match="^cover is over a different point set than the assignment$"):
+        with pytest.raises(InputError, match=f"^PartitionOfUnity of 2 points and Cover of {n} "
+                                             "points are over different point sets$"):
             coarsening_witnesses(PartitionOfUnity(values, 2, (0, 1)), Cover.of([range(n)], n))
 
 
