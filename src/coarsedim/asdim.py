@@ -508,7 +508,11 @@ def filler(space: FiniteCoarseSpace, f: PartitionOfUnity, subset, cover: Cover,
         gap = l1_distance(blended.values[x], retract.pu.values[x])
         if gap > deviation:
             deviation = gap
-    peaks = [Fraction(max(bp.num.values()), bp.den) for bp in values.values()]
+    peak_num, peak_den = 1, 1  # the least largest weight, as an int pair; no weight exceeds 1
+    for bp in values.values():
+        top = max(bp.num.values())
+        if top * peak_den < peak_num * bp.den:
+            peak_num, peak_den = top, bp.den
     return FillerResult(
         pu=blended,
         certificate=cert,
@@ -519,5 +523,5 @@ def filler(space: FiniteCoarseSpace, f: PartitionOfUnity, subset, cover: Cover,
         budget_ok=measured <= budget,
         max_deviation_on_anchors=deviation,
         max_carrier_size=blended.max_carrier_size(),
-        min_peak_weight=min(peaks),
+        min_peak_weight=Fraction(peak_num, peak_den),
     )

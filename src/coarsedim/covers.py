@@ -525,8 +525,8 @@ def shrink_with_multiplicity(fine: Cover, coarse: Cover) -> Cover:
     base: list[set[int]] = [set() for _ in coarse.sets]
     for t, j in enumerate(check.assignment):
         base[j] |= fine.sets[t]
+    # the points come from a validated cover, so the memberships are read unchecked
+    coarse_mem, fine_mem = coarse.membership, fine.membership
     for s, vs in enumerate(coarse.sets):
-        for x in vs:
-            if coarse.multiplicity(x) <= fine.multiplicity(x):
-                base[s].add(x)
+        base[s].update(x for x in vs if len(coarse_mem[x]) <= len(fine_mem[x]))
     return Cover(tuple(frozenset(b) for b in base), coarse.n_points, allow_empty=True)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import Cover, FiniteCoarseSpace, _check_int, _check_rational
+from .errors import InputError
 from .metric import FiniteMetricSpace, ball_cover
 
 
@@ -140,6 +141,8 @@ def gen_random_geometric(n: int, radius, seed: int) -> GeometricInstance:
     """
     _check_int(n, 1, "n")
     radius = _check_rational(radius, 0, "radius")
+    if type(seed) is not int:  # any int, negative ones too; a bool is not one
+        raise InputError(f"seed = {seed!r} is not an int")
     rng = Lcg(seed)
     coords = tuple((rng.next_fraction(), rng.next_fraction()) for _ in range(n))
     metric = FiniteMetricSpace.from_l1_points(coords)

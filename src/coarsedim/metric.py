@@ -36,12 +36,18 @@ class FiniteMetricSpace:
         rows = [tuple(row) for row in dist]
         if len(rows) != n_points or any(len(r) != n_points for r in rows):
             raise InputError("distance matrix shape does not match the point count")
+        all_int = True
         for i, row in enumerate(rows):
-            if not set(map(type, row)) <= _EXACT:
+            types = set(map(type, row))
+            if not types <= _EXACT:
                 j, d = next((j, d) for j, d in enumerate(row) if type(d) not in _EXACT)
                 raise InputError(f"distance ({i}, {j}) is {d!r}, not an int or Fraction")
-        den = lcm(*{d.denominator for row in rows for d in row})
-        ints = tuple(tuple(d.numerator * (den // d.denominator) for d in row) for row in rows)
+            all_int = all_int and Fraction not in types
+        if all_int:  # den is 1 and the rows are the numerators already
+            den, ints = 1, tuple(rows)
+        else:
+            den = lcm(*{d.denominator for row in rows for d in row})
+            ints = tuple(tuple(d.numerator * (den // d.denominator) for d in row) for row in rows)
         for i, row in enumerate(ints):
             if row[i] != 0:
                 raise InputError(f"nonzero self-distance at point {i}")
@@ -69,8 +75,15 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_l1_points(cls, coords) -> "FiniteMetricSpace":
-        """l1 distances between rational points, each pair summed once in ints."""
-        pts = [tuple(Fraction(c) for c in p) for p in coords]
+        """l1 distances between points with int or Fraction coordinates.
+
+        Each pair is summed once, in ints over the common denominator.
+        """
+        pts = [tuple(p) for p in coords]
+        for i, p in enumerate(pts):
+            if not set(map(type, p)) <= _EXACT:
+                c = next(c for c in p if type(c) not in _EXACT)
+                raise InputError(f"coordinate {c!r} of point {i} is not an int or Fraction")
         cden = lcm(*{c.denominator for p in pts for c in p})
         ints = [tuple(c.numerator * (cden // c.denominator) for c in p) for p in pts]
         n = len(pts)

@@ -205,6 +205,10 @@ class PartitionOfUnity:
     The map is total: ``values`` holds exactly the points 0..n_points-1, and
     the constructor names the least point without a value.  When a target
     complex is attached, every carrier must be one of its simplices.
+
+    A map is immutable: ``values`` is not changed after construction.  So the
+    map keeps its star preimage cover, and per cover what ``certify_pu``
+    measured against it, once they are first built.
     """
 
     values: dict[int, BarycentricPoint]
@@ -247,17 +251,24 @@ class PartitionOfUnity:
         return frozenset(x for x, bp in self.values.items() if v in bp.num)
 
     def star_preimage_cover(self) -> Cover:
-        """The family of all vertex-star preimages, indexed in vertex order.
+        """The family of all vertex-star preimages, indexed in vertex order; built once."""
+        return self._star_preimages
 
-        One pass over the values puts each point in the preimage of every
-        vertex of its carrier, which ``__post_init__`` keeps in ``vertices``.
-        """
+    @cached_property
+    def _star_preimages(self) -> Cover:
+        """One pass over the values puts each point in the preimage of every
+        vertex of its carrier, which ``__post_init__`` keeps in ``vertices``."""
         pre: dict[int, list[int]] = {v: [] for v in self.vertices}
         for x, bp in self.values.items():
             for v in bp.num:
                 pre[v].append(x)
         return Cover(tuple(frozenset(pre[v]) for v in self.vertices),
                      self.n_points, allow_empty=True)
+
+    @cached_property
+    def _measured(self) -> dict[Cover, tuple[VariationResult, tuple[int | None, ...], int | None]]:
+        """Per cover value, the variation and the coarsening witnesses ``certify_pu`` found."""
+        return {}
 
     def max_carrier_size(self) -> int:
         return max(len(bp.carrier) for bp in self.values.values())
@@ -453,12 +464,21 @@ def certify_pu(f: PartitionOfUnity, cover: Cover, space, eps: Fraction | None,
     Star preimage boundedness is ``space.set_diameter`` against
     ``diameter_bound``: chain diameter in the gauge of a FiniteCoarseSpace,
     metric diameter in a FiniteMetricSpace.
+
+    Neither the variation nor the coarsening witnesses depend on ``eps``, so
+    f measures them once per cover value and keeps them; a second certificate
+    against an equal cover only compares them with its ``eps``.  The space and
+    the bound may differ between calls, so boundedness is decided every time,
+    on the star preimage cover that f keeps.
     """
     if eps is not None:
         eps = _check_rational(eps, 0, "eps")
-    var = variation(f, cover)
+    measured = f._measured.get(cover)
+    if measured is None:
+        measured = (variation(f, cover), *coarsening_witnesses(f, cover))
+        f._measured[cover] = measured
+    var, witnesses, failing = measured
     var_ok = eps is None or var.value < eps
-    witnesses, failing = coarsening_witnesses(f, cover)
     coarsen_ok = failing is None
     bcert = is_uniformly_bounded(f.star_preimage_cover(), space, diameter_bound)
     return PUCertificate(

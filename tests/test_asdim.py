@@ -647,6 +647,14 @@ def test_filler_constant_input_stays_certified():
     assert result.measured_variation < min(params.eps, F(1, params.n + 1))
 
 
+def test_filler_min_peak_weight_is_the_least_largest_weight():
+    line, space, params, coarse, base = _line_filler_instance(600, 1, 1)
+    result = filler(space, base.pu, range(200), space.gauge, coarse, params, 599)
+    peaks = [max(bp.weights.values()) for bp in result.pu.values.values()]
+    assert type(result.min_peak_weight) is Fraction
+    assert result.min_peak_weight == min(peaks) < 1
+
+
 def test_filler_constant_vertex_input_gives_constant_output():
     line, space, params, coarse, base = _line_filler_instance(600, 1, 1)
     from coarsedim import BarycentricPoint, PartitionOfUnity

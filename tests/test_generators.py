@@ -96,6 +96,16 @@ def test_random_geometric_connectivity_at_generous_radius():
     assert inst.space.chain.is_connected()
 
 
+def test_random_geometric_seed_is_any_int():
+    # a negative seed is the seed it is congruent to; a bool or a float is not a seed
+    assert (gen_random_geometric(6, F(1, 2), -3).coords
+            == gen_random_geometric(6, F(1, 2), 2 ** 31 - 3).coords)
+    for seed in (True, 1.5, "3", None):
+        with pytest.raises(InputError) as err:
+            gen_random_geometric(6, F(1, 2), seed)
+        assert str(err.value) == f"seed = {seed!r} is not an int"
+
+
 def test_lcg_sequence_is_reproducible():
     a = Lcg(42)
     first = [a.next_int() for _ in range(5)]

@@ -81,11 +81,51 @@ def test_metric_rejects_asymmetry():
                  id="bool-point"),
     pytest.param(lambda: FiniteMetricSpace.line(3).d(0.5, 1), "unknown point 0.5",
                  id="float-point"),
+    # a coordinate is read as it is given: 0.1 would be a binary fraction
+    pytest.param(lambda: FiniteMetricSpace.from_l1_points([(F(1, 10),), (0.1,)]),
+                 "coordinate 0.1 of point 1 is not an int or Fraction", id="float-coordinate"),
+    pytest.param(lambda: FiniteMetricSpace.from_l1_points([(0, True)]),
+                 "coordinate True of point 0 is not an int or Fraction", id="bool-coordinate"),
+    pytest.param(lambda: FiniteMetricSpace.from_l1_points([(0, 1), ("1/3", 0)]),
+                 "coordinate '1/3' of point 1 is not an int or Fraction", id="string-coordinate"),
 ])
 def test_metric_rejects_bad_input(build, message):
     with pytest.raises(InputError) as err:
         build()
     assert str(err.value) == message
+
+
+def test_int_metric_is_its_fraction_twin():
+    # all-int rows are kept as they are, over den 1; the twin with Fraction entries is rescaled
+    rng = random.Random(3)
+    line = [[abs(i - j) for j in range(7)] for i in range(7)]
+    pts = [(rng.randrange(-5, 6), rng.randrange(-5, 6)) for _ in range(9)]
+    l1 = [[sum(abs(s - t) for s, t in zip(a, b)) for b in pts] for a in pts]
+    for rows in (line, l1):
+        n = len(rows)
+        ints = FiniteMetricSpace(n, rows)
+        twin = FiniteMetricSpace(n, [[F(d) for d in row] for row in rows])
+        assert ints._scaled == twin._scaled == (1, tuple(map(tuple, rows)))
+        assert ints == twin and hash(ints) == hash(twin)
+    assert FiniteMetricSpace.line(7) == FiniteMetricSpace(7, line)
+    assert FiniteMetricSpace.from_l1_points([(0,), (3,)]).d(0, 1) == 3
+
+
+@pytest.mark.parametrize("n, rows, message", [
+    pytest.param(2, [[0, 1]], "distance matrix shape does not match the point count", id="shape"),
+    pytest.param(2, [[0, 1], [1, 2]], "nonzero self-distance at point 1", id="self"),
+    pytest.param(3, [[0, 1, 2], [1, 0, 1], [2, 3, 0]], "asymmetric distance between 1 and 2",
+                 id="asymmetric"),
+    pytest.param(2, [[0, -1], [-1, 0]], "negative distance between 0 and 1", id="negative"),
+    pytest.param(3, [[0, 1, 5], [1, 0, 1], [5, 1, 0]], "triangle inequality fails on (0, 2, 1)",
+                 id="triangle"),
+])
+def test_int_and_fraction_matrices_are_refused_alike(n, rows, message):
+    for entries in (rows, [[F(d) for d in row] for row in rows],
+                    [[F(d, 2) for d in row] for row in rows]):
+        with pytest.raises(InputError) as err:
+            FiniteMetricSpace(n, entries)
+        assert str(err.value) == message
 
 
 def test_line_metric_distances():

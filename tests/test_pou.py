@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from coarsedim import (
     BarycentricPoint,
     Cover,
+    FiniteCoarseSpace,
+    FiniteMetricSpace,
     InputError,
     PartitionOfUnity,
     barycentric_map,
@@ -286,6 +288,7 @@ def test_star_preimage_cover_matches_per_vertex_preimages(n, seed, extra, partia
     cover = f.star_preimage_cover()
     assert cover.sets == tuple(f.star_preimage(v) for v in f.vertices)
     assert cover.n_points == n and cover.allow_empty
+    assert f.star_preimage_cover() is cover  # built once
 
 
 def test_infinite_branch_is_constant_on_shared_elements():
@@ -586,6 +589,60 @@ def test_certify_eps_infinite_is_vacuous_on_variation():
     line, u, _, pu = worked_map()
     cert = certify_pu(pu, u, line.space, None, 5)
     assert cert.eps is None and cert.variation_ok and cert.ok
+
+
+def test_a_map_measures_one_cover_once_and_decides_each_certificate_anew(monkeypatch):
+    line = gen_line(60)
+    space, gauge = line.space, line.space.gauge
+
+    def build():
+        return barycentric_map(gauge, line.staggered(5))  # variation 1/3, diameter 9
+
+    calls = dict.fromkeys(("variation", "coarsening_witnesses"), 0)
+    for name in calls:
+        def counted(*args, _inner=getattr(pou, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(pou, name, counted)
+    # each at (eps, bound): below and above the variation, then below the diameter
+    asks = [(F(1, 4), 9), (F(1, 2), 9), (F(1, 2), 8)]
+    expected = [certify_pu(build(), gauge, space, eps, bound) for eps, bound in asks]
+    assert calls == {"variation": 3, "coarsening_witnesses": 3}
+    f = build()
+    equal_gauge = Cover(gauge.sets, gauge.n_points)  # measured once per cover value
+    got = [certify_pu(f, cover, space, eps, bound)
+           for cover, (eps, bound) in zip((gauge, equal_gauge, gauge), asks)]
+    assert got == expected
+    assert [(c.variation_ok, c.boundedness.ok, c.ok) for c in got] == [
+        (False, True, False), (True, True, True), (True, False, False)]
+    assert calls == {"variation": 4, "coarsening_witnesses": 4}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 10_000), st.booleans())
+def test_certificates_of_a_kept_map_match_those_of_a_fresh_map(n, seed, metric):
+    # one map certified over and over, against covers old, new and equal to old ones,
+    # in either kind of space, at any eps and bound: each call as on an unused map
+    rng = random.Random(seed)
+    fine, coarse = random_refinement_pair(rng, n)
+    f = barycentric_map(fine, coarse)
+    if metric:
+        space = FiniteMetricSpace.from_l1_points(
+            [(random_fraction(rng, 0, 3, 4),) for _ in range(n)])
+    else:
+        space = FiniteCoarseSpace(n, random_cover(rng, n))
+    covers = [fine, coarse]
+    for _ in range(8):
+        if rng.random() < 0.3:
+            covers.append(random_cover(rng, n))
+        cover = rng.choice(covers)
+        if rng.random() < 0.5:
+            cover = Cover(cover.sets, n, cover.allow_empty)
+        eps = None if rng.random() < 0.2 else random_fraction(rng, 0, 2, 6) or F(1, 7)
+        bound = random_fraction(rng, 0, n, 3)
+        fresh = PartitionOfUnity(dict(f.values), n, f.vertices, f.complex)
+        assert certify_pu(f, cover, space, eps, bound) == \
+            certify_pu(fresh, cover, space, eps, bound)
 
 
 @settings(max_examples=40, deadline=None)
