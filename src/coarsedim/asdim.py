@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import (
+    _EXACT,
     Cover,
     FiniteCoarseSpace,
     _check_int,
@@ -305,7 +306,9 @@ class BlendFunction:
 
     def __post_init__(self):
         for x, a in enumerate(self.values):
-            if not 0 <= a <= 1:
+            if type(a) not in _EXACT:
+                raise InputError(f"blend value {a!r} at point {x} is not an int or Fraction")
+            if not 0 <= a.numerator <= a.denominator:  # the denominator is positive
                 raise InputError(f"blend value {a} at point {x} outside [0, 1]")
 
 

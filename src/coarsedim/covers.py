@@ -186,7 +186,7 @@ class FiniteCoarseSpace:
 
     def set_diameter(self, points) -> ExtNat:
         """Chain diameter of a point set in the gauge's chain graph, measured once per set."""
-        key = frozenset(points)
+        key = _check_points(points, self.n_points)
         d = self._diameters.get(key)
         if d is None:
             d = self._diameters[key] = diameter_in_graph(key, self.chain)

@@ -9,9 +9,8 @@ from functools import cached_property
 from math import lcm
 from operator import add, itemgetter
 
-from .covers import (_EXACT, BoundednessCertificate, Cover, _are_points, _check_int,
-                     _check_point, _check_points, _check_rational, _check_same_points,
-                     is_uniformly_bounded)
+from .covers import (_EXACT, BoundednessCertificate, Cover, _check_int, _check_point,
+                     _check_points, _check_rational, _check_same_points, is_uniformly_bounded)
 from .errors import InputError, PreconditionError
 from .pou import BarycentricPoint, PartitionOfUnity, PUCertificate, certify_pu, l1_distance
 
@@ -26,6 +25,10 @@ class FiniteMetricSpace:
     and ``hash``.  ``dist`` gives the distances as Fractions, built on first
     read.  Entries must be ints or Fractions.  The triangle inequality is
     verified on construction (O(n^3)) unless ``check_triangle`` is False.
+
+    A space is immutable, so it also keeps the diameter of every point set
+    ``set_diameter`` has measured, as ``FiniteCoarseSpace`` does; an equal
+    space built anew measures again.
     """
 
     n_points: int
@@ -106,17 +109,23 @@ class FiniteMetricSpace:
         den, rows = self._scaled
         return Fraction(rows[x][y], den)
 
+    @cached_property
+    def _diameters(self) -> dict[frozenset[int], Fraction]:
+        """The set diameters measured so far; the distances are frozen, so none goes stale."""
+        return {}
+
     def set_diameter(self, points) -> Fraction:
-        """Largest distance between two points of the set (0 for <= 1 point)."""
-        given = set(points)
-        if not _are_points(given, self.n_points):
-            _check_points(given, self.n_points)  # names the offender
-        pts = sorted(given)
-        if len(pts) < 2:
-            return Fraction(0)
-        den, rows = self._scaled
-        row_slice = itemgetter(*pts)
-        return Fraction(max(max(row_slice(rows[a])) for a in pts), den)
+        """Largest distance between two points of the set (0 for <= 1), measured once per set."""
+        key = _check_points(points, self.n_points)
+        d = self._diameters.get(key)
+        if d is None:
+            den, rows = self._scaled
+            top = 0
+            if len(key) > 1:
+                row_slice = itemgetter(*key)
+                top = max(max(row_slice(rows[a])) for a in key)
+            d = self._diameters[key] = Fraction(top, den)
+        return d
 
 
 def ball_cover(metric: FiniteMetricSpace, radius) -> Cover:
@@ -171,6 +180,37 @@ def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
     l1 value and allowance whether or not it fails; the Lebesgue witness is the
     first pair in row order that fails.
 
+    Neither scan depends on ``diameter_bound``, so f runs them once per
+    (metric value, delta) and keeps their results beside what ``certify_pu``
+    keeps per cover; a second certificate at an equal metric and delta reads
+    them.  Boundedness is decided every time, against the call's own bound,
+    on diameters the metric keeps.
+    """
+    delta = _check_rational(delta, 0, "delta")
+    diameter_bound = _check_rational(diameter_bound, 0, "diameter_bound", strict=False)
+    _check_same_points(f, metric)
+    key = (metric, delta)
+    scans = f._measured.get(key)
+    if scans is None:
+        scans = f._measured[key] = _delta_scans(f, metric, delta)
+    lip_ok, lip_pair, lip_value, lip_allowance, leb_pair = scans
+    bcert = is_uniformly_bounded(f.star_preimage_cover(), metric, diameter_bound)
+    return DeltaPUCertificate(
+        delta=delta,
+        lipschitz_ok=lip_ok,
+        lipschitz_pair=lip_pair,
+        lipschitz_value=lip_value,
+        lipschitz_allowance=lip_allowance,
+        lebesgue_ok=leb_pair is None,
+        lebesgue_pair=leb_pair,
+        boundedness=bcert,
+        ok=lip_ok and leb_pair is None and bcert.ok,
+    )
+
+
+def _delta_scans(f: PartitionOfUnity, metric: FiniteMetricSpace, delta: Fraction):
+    """The Lipschitz scan's (ok, pair, l1 value, allowance) and the Lebesgue pair.
+
     The Lipschitz scan measures l1 only where it could change the witness.
     Two points with equal values are at l1 exactly 0, so they need no call.
     Every l1 is at most 2, so a pair whose margin bound ``2 - (delta*d +
@@ -179,9 +219,6 @@ def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
     Each row after the first therefore skips the pairs beyond a distance
     threshold drawn from the worst margin at its start.
     """
-    delta = _check_rational(delta, 0, "delta")
-    diameter_bound = _check_rational(diameter_bound, 0, "diameter_bound", strict=False)
-    _check_same_points(f, metric)
     # for delta = p/q, gap = g/h and d = e/den the margin gap - (delta*d + delta)
     # is (g*q*den - p*(e + den)*h) / (h*q*den); all pairs share q*den, so the
     # margins compare as num/h
@@ -214,18 +251,7 @@ def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
                 worst_num, worst_h, lip_pair, lip_value = num, h, (x, y), gap
     lip_d = metric.d(*lip_pair) if lip_pair else 0
     leb_pair = _lebesgue_pair(metric, delta, [values[x].carrier for x in range(n)])
-    bcert = is_uniformly_bounded(f.star_preimage_cover(), metric, diameter_bound)
-    return DeltaPUCertificate(
-        delta=delta,
-        lipschitz_ok=worst_num <= 0,
-        lipschitz_pair=lip_pair,
-        lipschitz_value=lip_value,
-        lipschitz_allowance=delta * lip_d + delta,
-        lebesgue_ok=leb_pair is None,
-        lebesgue_pair=leb_pair,
-        boundedness=bcert,
-        ok=worst_num <= 0 and leb_pair is None and bcert.ok,
-    )
+    return worst_num <= 0, lip_pair, lip_value, delta * lip_d + delta, leb_pair
 
 
 def _check_comparison_delta(delta) -> Fraction:

@@ -207,8 +207,9 @@ class PartitionOfUnity:
     complex is attached, every carrier must be one of its simplices.
 
     A map is immutable: ``values`` is not changed after construction.  So the
-    map keeps its star preimage cover, and per cover what ``certify_pu``
-    measured against it, once they are first built.
+    map keeps its star preimage cover, per cover what ``certify_pu`` measured
+    against it, and per (metric, delta) what ``certify_delta_pu`` measured,
+    once they are first built.
     """
 
     values: dict[int, BarycentricPoint]
@@ -266,8 +267,9 @@ class PartitionOfUnity:
                      self.n_points, allow_empty=True)
 
     @cached_property
-    def _measured(self) -> dict[Cover, tuple[VariationResult, tuple[int | None, ...], int | None]]:
-        """Per cover value, the variation and the coarsening witnesses ``certify_pu`` found."""
+    def _measured(self) -> dict:
+        """Per cover value, the variation and the coarsening witnesses ``certify_pu``
+        found; per (metric value, delta), the scans ``certify_delta_pu`` ran."""
         return {}
 
     def max_carrier_size(self) -> int:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coarsedim import (
     BarycentricPoint,
+    BlendFunction,
     ConstructionError,
     Cover,
     FillerParams,
@@ -545,6 +546,23 @@ def test_blend_rejects_degenerate_subsets():
     for unknown in ({0, 9}, {-1}):
         with pytest.raises(InputError):
             blend_alpha(unknown, 1, u)
+
+
+@pytest.mark.parametrize("value, message", [
+    (0.5, "blend value 0.5 at point 1 is not an int or Fraction"),
+    (True, "blend value True at point 1 is not an int or Fraction"),
+    ("1/2", "blend value '1/2' at point 1 is not an int or Fraction"),
+    (Fraction(3, 2), "blend value 3/2 at point 1 outside [0, 1]"),
+    (Fraction(-1, 3), "blend value -1/3 at point 1 outside [0, 1]"),
+    (2, "blend value 2 at point 1 outside [0, 1]"),
+    (-1, "blend value -1 at point 1 outside [0, 1]"),
+])
+def test_blend_function_takes_exact_values_in_the_unit_interval(value, message):
+    with pytest.raises(InputError) as err:
+        BlendFunction((Fraction(1, 2), value, Fraction(0)), frozenset())
+    assert str(err.value) == message
+    ends = BlendFunction((0, Fraction(0), Fraction(1, 2), Fraction(1), 1), frozenset({3}))
+    assert ends.values == (0, 0, Fraction(1, 2), 1, 1)
 
 
 # --- retract ---------------------------------------------------------------------------

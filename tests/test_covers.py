@@ -526,6 +526,21 @@ def test_chain_indices_reject_unknown_points():
             assert str(err.value) == f"unknown point {bad!r}"
 
 
+def test_set_diameter_checks_points_before_reading_a_kept_diameter():
+    # True, 1.0 and Fraction(1) equal 1 and hash alike, so each bad region below equals
+    # its valid twin as a set; the twin's kept diameter must not let it through
+    pairs = (({1, 4}, {True, 4}), ({1, 4}, {1.0, 4}), ({1, 4}, {Fraction(1), 4}),
+             ({0}, {False}), ({0, 2}, {0.0, 2}))
+    for space in (gen_line(6).space, FiniteMetricSpace.line(6)):
+        for twin, region in pairs:
+            assert space.set_diameter(twin) == max(twin) - min(twin)
+            bad = next(x for x in region if type(x) is not int)
+            for given_as in (region, frozenset(region), sorted(region, key=str)):
+                with pytest.raises(InputError) as err:
+                    space.set_diameter(given_as)
+                assert str(err.value) == f"unknown point {bad!r}"
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 9), st.integers(0, 10_000), st.data())
 def test_interior_matches_starred_complement(n, seed, data):

@@ -1,7 +1,9 @@
 """Finite metric spaces, ball covers, and both directions of the scale bridge."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +23,12 @@ from coarsedim import (
     comparison_forward,
     gen_line,
     gen_random_geometric,
+    is_uniformly_bounded,
     l1_distance,
     variation,
 )
 from coarsedim import metric as metric_module
-from coarsedim.formats import dump_pu, load_pu
+from coarsedim.formats import doc_dumps, dump_pu, load_pu
 from coarsedim.generators import random_cover, random_fraction, random_refinement_pair
 from coarsedim.oracles import (
     ball_cover_fractions,
@@ -463,3 +466,95 @@ def test_lipschitz_scan_skips_equal_values_and_pairs_past_the_bound(monkeypatch)
     assert 0 < len(calls) < 2000  # of the 19 900 pairs
     assert cert.ok and cert.lipschitz_pair == (8, 9)
     assert (cert.lipschitz_value, cert.lipschitz_allowance) == (F(2, 9), F(1, 2))
+
+
+def test_metric_measures_each_set_once(monkeypatch):
+    # a second certificate on the same metric reads no rows; a new equal metric
+    # measures every set again
+    reads = []
+    monkeypatch.setattr(metric_module, "itemgetter",
+                        lambda *keys: reads.append(keys) or itemgetter(*keys))
+    rng = random.Random(61)
+    for _ in range(40):
+        n = rng.randrange(1, 16)
+        coords = [(random_fraction(rng, -3, 3, 7),) for _ in range(n)]
+        metric = FiniteMetricSpace.from_l1_points(coords)
+        subsets = [frozenset(x for x in range(n) if rng.random() < 0.5) for _ in range(5)]
+        cover = Cover(tuple(subsets) + ball_cover(metric, 1).sets, n, allow_empty=True)
+        bound = random_fraction(rng, 0, 4, 3)
+        expected = [set_diameter_fractions(metric, s) for s in cover.sets]
+        first = is_uniformly_bounded(cover, metric, bound)
+        assert [metric.set_diameter(s) for s in cover.sets] == expected
+        reads.clear()
+        assert is_uniformly_bounded(cover, metric, bound) == first
+        assert [metric.set_diameter(s) for s in cover.sets] == expected
+        assert reads == []
+        again = FiniteMetricSpace.from_l1_points(coords)
+        assert again == metric
+        assert is_uniformly_bounded(cover, again, bound) == first
+        assert bool(reads) == any(len(s) > 1 for s in cover.sets)
+
+
+def test_a_map_runs_its_delta_scans_once_per_metric_and_delta(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return l1_distance(a, b)
+
+    monkeypatch.setattr(metric_module, "l1_distance", counted)
+    metric, f = fine_scale_map()
+    first = certify_delta_pu(f, metric, F(1, 16), 64)
+    assert first.ok and calls
+    # another bound decides boundedness anew on the kept scans
+    calls.clear()
+    tight = certify_delta_pu(f, metric, F(1, 16), 10)
+    assert not calls
+    assert tight.lipschitz_ok and tight.lebesgue_ok and not tight.ok
+    assert tight == replace(first, boundedness=is_uniformly_bounded(
+        f.star_preimage_cover(), metric, 10), ok=False)
+    # an equal metric at an equal delta reads them too; the forward comparison at
+    # delta = 1/2 gates at delta^2/4 = 1/16 without a scan
+    assert certify_delta_pu(f, FiniteMetricSpace.line(100), F(2, 32), 64) == first
+    assert comparison_forward(f, metric, F(1, 2), 64).ok
+    assert not calls
+    certify_delta_pu(f, metric, F(1, 8), 64)
+    assert calls
+
+
+def equal_copy(metric):
+    return FiniteMetricSpace(metric.n_points, metric.dist, check_triangle=False)
+
+
+def bridge_outcome(call):
+    """The certificate's document, or the refusal's message and witness document."""
+    try:
+        return doc_dumps(call())
+    except PreconditionError as err:
+        return str(err), doc_dumps(err.witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 10_000), st.booleans())
+def test_bridge_certificates_of_a_kept_map_and_metric_match_fresh_ones(n, seed, balls):
+    # one map and one metric through a sequence of gates and comparisons, at deltas
+    # and bounds that repeat, against an unused map and metric each time
+    rng = random.Random(seed)
+    metric = FiniteMetricSpace.from_l1_points(
+        [(random_fraction(rng, 0, n, 2),) for _ in range(n)])
+    if balls:
+        f = barycentric_map(ball_cover(metric, 1), ball_cover(metric, rng.randrange(1, n + 2)))
+    else:
+        f = repeated_value_maps(n, rng)[rng.randrange(3)]
+    steps = {"gate": certify_delta_pu, "forward": comparison_forward,
+             "backward": comparison_backward}
+    for _ in range(8):
+        step = rng.choice(list(steps))
+        delta = rng.choice([F(1, 4), F(1, 2), F(1), F(3, 2)])
+        if step == "gate" and rng.random() < 0.5:
+            delta = delta * delta / 4  # the forward comparison's gate
+        bound = rng.choice([F(0), F(n, 3), F(n)])
+        kept = rng.choice([metric, equal_copy(metric)])
+        fresh = PartitionOfUnity(dict(f.values), n, f.vertices, f.complex)
+        assert bridge_outcome(lambda: steps[step](f, kept, delta, bound)) == \
+            bridge_outcome(lambda: steps[step](fresh, equal_copy(metric), delta, bound))
