@@ -482,24 +482,21 @@ def filler(space: FiniteCoarseSpace, f: PartitionOfUnity, subset, cover: Cover,
 
     # the shrunk family sits inside the star preimages, so the nerve map's
     # carriers are faces of the input map's carriers
-    relabeled: dict[int, BarycentricPoint] = {}
-    for x in range(space.n_points):
-        bp = nerve_map.values[x]
-        relabeled[x] = BarycentricPoint._from_ints(
-            {f.vertices[s]: w for s, w in bp.num.items()}, bp.den)
-        if not relabeled[x].carrier <= f.value(x).carrier:
-            raise ConstructionError(
-                f"nerve map carrier at point {x} escapes the input carrier")
-
     values: dict[int, BarycentricPoint] = {}
     for x in range(space.n_points):
+        bp = nerve_map.values[x]
+        relabeled = BarycentricPoint._from_ints({f.vertices[s]: w for s, w in bp.num.items()},
+                                                bp.den)
+        if not relabeled.carrier <= f.values[x].carrier:
+            raise ConstructionError(
+                f"nerve map carrier at point {x} escapes the input carrier")
         a = alpha.values[x]
         if a == 0:
-            values[x] = relabeled[x]
+            values[x] = relabeled
         elif a == 1:
             values[x] = retract.pu.values[x]
         else:
-            values[x] = retract.pu.values[x].blend(relabeled[x], a)
+            values[x] = retract.pu.values[x].blend(relabeled, a)
     blended = PartitionOfUnity(values, space.n_points, f.vertices, f.complex)
 
     cert = certify_pu(blended, cover, space, _filler_bound(params.eps, n), diameter_bound)

@@ -211,9 +211,9 @@ def _cmd_asdim(args) -> int:
         return 0 if cert.ok else 1
     witness_arg = args.witness or _default_witness(ctx, args.k)
     witness = _load_cover_arg(witness_arg, ctx)
+    gauge = ctx.space.gauge
+    result = build_skeleton_pu(ctx.space, gauge, witness, args.k, args.n, args.diam)
     if args.mode == "skeleton":
-        result = build_skeleton_pu(ctx.space, ctx.space.gauge, witness,
-                                   args.k, args.n, args.diam)
         if args.out_pu:
             Path(args.out_pu).write_text(formats.dump_pu(result.pu))
         _emit(_cert_doc("skeleton-map", result.certificate,
@@ -222,8 +222,6 @@ def _cmd_asdim(args) -> int:
               args.out)
         return 0 if result.certificate.ok else 1
     # round trip: witness -> certified map -> trimmed witness
-    gauge = ctx.space.gauge
-    result = build_skeleton_pu(ctx.space, gauge, witness, args.k, args.n, args.diam)
     wide = certify_pu(result.pu, iterated_star(gauge, 2), ctx.space, None, args.diam)
     trim = trim_to_cover(result.pu, gauge, args.n)
     ok = result.certificate.ok and wide.ok and trim.certificate.ok

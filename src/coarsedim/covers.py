@@ -210,30 +210,17 @@ class ChainGraph:
         With ``within``, the search enters only points of that set: every
         other point but the sources stays None.
         """
-        n = self.n_points
-        if within is None:
-            dist: list = [None] * n
-        else:
-            dist = [False] * n  # False marks a point the search may not enter
-            for x in within:
-                dist[x] = None
-        sources = sorted(set(sources))
-        for s in sources:
+        dist: list = [None] * self.n_points
+        queue: deque[int] = deque(sources)  # BFS distances do not depend on the source order
+        for s in queue:
             dist[s] = 0
-        queue: deque[int] = deque(sources)
         while queue:
             x = queue.popleft()
             d = dist[x] + 1
             for y in self.neighbors[x]:
-                if dist[y] is None:
+                if dist[y] is None and (within is None or y in within):
                     dist[y] = d
                     queue.append(y)
-        if within is not None:
-            reached, dist = dist, [None] * n
-            for x in within:
-                dist[x] = reached[x]
-            for s in sources:
-                dist[s] = 0
         return dist
 
     def is_connected(self) -> bool:

@@ -246,10 +246,11 @@ class PartitionOfUnity:
         return self.values[x]
 
     def star_preimage(self, v: int) -> frozenset[int]:
-        """Points whose value puts positive weight on vertex v."""
-        if type(v) is not int or v not in set(self.vertices):
+        """Points whose value puts positive weight on vertex v: its element of the kept
+        star preimage cover."""
+        if type(v) is not int or v not in self.vertices:
             raise InputError(f"unknown vertex {v!r}")
-        return frozenset(x for x, bp in self.values.items() if v in bp.num)
+        return self._star_preimages[self.vertices.index(v)]
 
     def star_preimage_cover(self) -> Cover:
         """The family of all vertex-star preimages, indexed in vertex order; built once."""
@@ -384,14 +385,18 @@ def barycentric_map(chain_cover: Cover, target_cover: Cover, d_cap: int | None =
     """
     _check_same_points(chain_cover, target_cover)
     n = chain_cover.n_points
-    index_of_element = [chain_indices(chain_cover, s) for s in target_cover.sets]
+    # outside an element the chain index is 0, so only x's own elements count, in
+    # ascending order; inside it is at least 1, so the carrier is the membership or
+    # its infinite part
+    own_indices: list[dict[int, int | None]] = [{} for _ in range(n)]
+    for s, element in enumerate(target_cover.sets):
+        index = chain_indices(chain_cover, element)
+        for x in element:
+            own_indices[x][s] = index[x]
     values: dict[int, BarycentricPoint] = {}
     carriers: dict[tuple[int, ...], frozenset[int]] = {}  # one frozenset per distinct carrier
-    for x in range(n):
-        # outside an element the chain index is 0, so only x's own elements count;
-        # inside it is at least 1, so the carrier is the membership or its infinite part
+    for x, ixs in enumerate(own_indices):
         own = target_cover.membership[x]
-        ixs = {s: index_of_element[s][x] for s in own}
         if None in ixs.values():
             infinite = tuple(s for s, ix in ixs.items() if ix is None)
             point = BarycentricPoint._from_ints(dict.fromkeys(infinite, 1), len(infinite))

@@ -270,6 +270,14 @@ def test_trim_removes_the_star_of_each_complement(n, seed):
     assert trim_to_cover(pu, cover, pu.max_carrier_size() - 1).cover.sets == expected
 
 
+def test_trim_names_the_first_carrier_above_the_dimension():
+    line = gen_line(30)
+    pu = barycentric_map(line.space.gauge, line.staggered(3))
+    with pytest.raises(PreconditionError) as err:
+        trim_to_cover(pu, line.space.gauge, 0)
+    assert str(err.value) == "carrier at point 3 has 2 vertices (allowed 1)"
+
+
 def test_trim_gate_witness_is_the_2_fold_star_that_fits_nowhere():
     gauge = gen_line(30).space.gauge
     pu = barycentric_map(gauge, gen_line(30).blocks(4))
@@ -626,6 +634,12 @@ def test_retract_refuses_a_cover_over_other_points():
         with pytest.raises(InputError, match=f"^PartitionOfUnity of 10 points and Cover of {size} "
                                              "points are over different point sets$"):
             skeletal_retract(pu, range(3), 1, gen_line(size).space.gauge, F(1, 100), 1)
+
+
+def test_retract_refuses_an_empty_anchor_subset():
+    pu = barycentric_map(gen_line(6).space.gauge, Cover.of([range(6)], 6))
+    with pytest.raises(InputError, match="^the anchor subset must be nonempty$"):
+        skeletal_retract(pu, set(), 1, gen_line(6).space.gauge, F(1, 100), 0)
 
 
 def test_retract_requires_small_shift_budget():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coarsedim
-from coarsedim import FiniteMetricSpace, barycentric_map, gen_line
+from coarsedim import FiniteMetricSpace, barycentric_map, gen_grid2d, gen_line
 from coarsedim.cli import main
 from coarsedim.formats import (doc_loads, dump_cover, dump_metric, dump_pu, dump_space,
                                load_cover, load_pu, load_space)
@@ -39,6 +39,19 @@ def test_gen_line_writes_space_and_covers(tmp_path, capsys, monkeypatch):
     cover = load_cover((tmp_path / "line200.staggered25.cover.txt").read_text())
     assert len(cover.sets) == 7
     assert "line200.blocks50.cover.txt" in doc["files"][2]
+
+
+def test_gen_grid2d_writes_files_that_load_back(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, doc = run_cli(capsys, "gen", "grid2d", "--width", "6", "--height", "4",
+                        "--brick-len", "3")
+    assert code == 0
+    assert doc == {"generated": "grid2d",
+                   "files": ["grid6x4.space.txt", "grid6x4.bricks3.cover.txt"]}
+    inst = gen_grid2d(6, 4)
+    space = load_space((tmp_path / "grid6x4.space.txt").read_text())
+    assert (space.n_points, space.gauge) == (24, inst.space.gauge)
+    assert load_cover((tmp_path / "grid6x4.bricks3.cover.txt").read_text()) == inst.bricks(3)
 
 
 def test_gen_random_geometric_reports_connectivity(tmp_path, capsys, monkeypatch):
@@ -98,6 +111,27 @@ def test_asdim_roundtrip_on_grid(capsys):
     assert doc["ok"] is True
 
 
+def test_asdim_skeleton_writes_a_map_that_loads_back_and_certifies(tmp_path, capsys):
+    pu_path, out = tmp_path / "skeleton.pu.txt", tmp_path / "skeleton.json"
+    code = main(["asdim", "skeleton", "--space", "line200", "--n", "1", "--k", "10",
+                 "--diam", "120", "--out-pu", str(pu_path), "--out", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    assert out.read_bytes() == stdout.encode()  # --out writes the bytes stdout gets
+    doc = doc_loads(stdout)
+    assert doc["construction"] == "skeleton-map"
+    assert doc["witness"] == "blocks:50"  # the default witness, 4k + 10
+    assert doc["certificate"]["ok"] is True
+    assert doc["certificate"]["eps"] == F(8, 5)
+    assert doc["precondition"]["ok"] is True
+    assert doc["precondition"]["n"] == 1
+    assert load_pu(pu_path.read_text()).n_points == 200
+    code, cert = run_cli(capsys, "certify", "pu", "--space", "line200", "--pu", str(pu_path),
+                         "--cover", "gauge", "--eps", "8/5", "--diam", "120")
+    assert code == 0
+    assert cert["certificate"] == doc["certificate"]
+
+
 def test_filler_pipeline_document(capsys):
     code, doc = run_cli(capsys, "filler", "--space", "line600", "--n", "1",
                         "--eps", "1", "--a-end", "200", "--diam", "599")
@@ -127,6 +161,18 @@ def test_oracle_asdim_witness(capsys):
                         "--n", "1", "--diam", "5")
     assert code == 0
     assert doc["found"] is True
+
+
+def test_oracle_asdim_witness_writes_the_cover_it_found(tmp_path, capsys):
+    path = tmp_path / "witness.cover.txt"
+    code, doc = run_cli(capsys, "oracle", "asdim-witness", "--space", "line6",
+                        "--n", "1", "--diam", "5", "--out-cover", str(path))
+    assert code == 0
+    witness = load_cover(path.read_text())
+    assert [sorted(s) for s in witness.sets] == doc["elements"]
+    code, doc = run_cli(capsys, "asdim", "check", "--space", "line6", "--cover-u", "gauge",
+                        "--cover-v", str(path), "--n", "1")
+    assert code == 0
     code, doc = run_cli(capsys, "oracle", "asdim-witness", "--space", "line6",
                         "--n", "0", "--diam", "3")
     assert code == 1

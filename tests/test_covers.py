@@ -88,6 +88,7 @@ def test_cover_names_its_first_defect_in_index_order():
         ([[0, 1], [], [9]], "cover element 1 is empty"),
         ([[0, 1], [1, -2]], "cover element 1 contains unknown point -2"),
         ([[0], [1]], "cover misses point 2"),
+        ([], "a cover needs at least one element"),
     ]
     for sets, message in cases:
         with pytest.raises(InputError, match=message):
@@ -790,6 +791,12 @@ def test_space_rejects_mismatched_gauge():
         with pytest.raises(InputError) as err:
             Cover.of([[0]], n)
         assert str(err.value) == f"n_points = {n!r} is not an int >= 1"
+
+
+def test_space_rejects_a_gauge_with_an_empty_element():
+    gauge = Cover.of([[0, 1], []], 2, allow_empty=True)
+    with pytest.raises(InputError, match="^gauge must not contain empty elements$"):
+        FiniteCoarseSpace(2, gauge)
 
 
 def test_extnat_ordering():

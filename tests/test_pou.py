@@ -1,6 +1,7 @@
 """Barycentric points, nerves, variation, and the certificate conditions."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,8 +16,10 @@ from coarsedim import (
     FiniteMetricSpace,
     InputError,
     PartitionOfUnity,
+    SimplicialComplex,
     barycentric_map,
     certify_pu,
+    chain_indices,
     coarsening_witnesses,
     gen_grid2d,
     gen_line,
@@ -112,6 +115,15 @@ def test_weight_error_messages():
         # and a map is total: the least point without a value is named
         (lambda: PartitionOfUnity({0: BarycentricPoint.vertex(0)}, 3, (0,)),
          "no value assigned to point 1"),
+        # and its carriers lie in its vertices, and in its target complex when it has one
+        (lambda: PartitionOfUnity({0: BarycentricPoint.vertex(0), 1: BarycentricPoint.vertex(3)},
+                                  2, (0, 1)),
+         "value at point 1 uses vertices outside the universe"),
+        (lambda: PartitionOfUnity({0: BarycentricPoint({0: F(1, 2), 1: F(1, 2)}),
+                                   1: BarycentricPoint.vertex(1)}, 2, (0, 1),
+                                  SimplicialComplex((0, 1), frozenset({frozenset({0}),
+                                                                       frozenset({1})}), 1)),
+         "carrier at point 0 is not a simplex of the target complex"),
     ]
     for build, message in cases:
         with pytest.raises(InputError) as err:
@@ -344,6 +356,62 @@ def test_barycentric_map_matches_enumerated_indices(n, seed, connected, whole):
                 assert pu.values[y].carrier is bp.carrier
 
 
+def barycentric_map_by_table(chain_cover, target_cover):
+    """Per point, the weights in key order and the nerve's facets, read from the whole
+    element x point table of chain indices (one n-list per target element)."""
+    table = [chain_indices(chain_cover, s) for s in target_cover.sets]
+    values = {}
+    for x in range(chain_cover.n_points):
+        own = [s for s in range(len(target_cover.sets)) if x in target_cover.sets[s]]
+        infinite = [s for s in own if table[s][x] is None]
+        if infinite:
+            values[x] = [(s, F(1, len(infinite))) for s in infinite]
+        else:
+            total = sum(table[s][x] for s in own)
+            values[x] = [(s, F(table[s][x], total)) for s in own]
+    common = {frozenset(s for s, e in enumerate(target_cover.sets) if x in e)
+              for x in range(chain_cover.n_points)}
+    facets = {f for f in common if not any(f < g for g in common)}
+    return values, facets
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 10_000), st.booleans(), st.booleans(), st.booleans())
+def test_barycentric_map_matches_the_element_by_point_table(n, seed, connected, whole, empties):
+    rng = random.Random(seed)
+    u = random_cover(rng, n, connected=connected)
+    sets = list(random_cover(rng, n).sets)
+    if whole:  # an element with infinite index at every point of its component
+        sets.insert(rng.randrange(len(sets) + 1), frozenset(range(n)))
+    if empties:
+        sets.insert(rng.randrange(len(sets) + 1), frozenset())
+    v = Cover(tuple(sets), n, allow_empty=empties)
+    pu = barycentric_map(u, v)
+    values, facets = barycentric_map_by_table(u, v)
+    assert {x: list(bp.weights.items()) for x, bp in pu.values.items()} == values
+    assert pu.complex.facets == facets
+    assert pu.vertices == tuple(range(len(sets)))
+    carriers = {}  # points with equal carriers share one carrier object
+    for x, bp in pu.values.items():
+        assert bp.carrier == frozenset(s for s, _ in values[x])
+        assert carriers.setdefault(bp.carrier, bp.carrier) is bp.carrier
+
+
+def test_barycentric_map_keeps_no_element_by_point_table():
+    # the chain indices are read one element at a time, so the traced peak stays
+    # near what the map keeps; an n-list per element would need several times that
+    line = gen_line(8000)
+    gauge, target = line.space.gauge, line.staggered(50)
+    tracemalloc.start()
+    try:
+        pu = barycentric_map(gauge, target)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pu.values) == 8000
+    assert peak < 2 * retained
+
+
 def test_carriers_are_simplices_of_the_nerve():
     rng = random.Random(31)
     for _ in range(30):
@@ -407,6 +475,24 @@ def test_scalar_variation_refuses_inexact_values():
         with pytest.raises(InputError) as err:
             scalar_variation([F(1, 2), bad], cover)
         assert str(err.value) == f"value {bad!r} at point 1 is not an int or Fraction"
+
+
+def test_scalar_variation_needs_one_value_per_point():
+    cover = Cover.of([[0, 1], [1, 2]], 3)
+    for values in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(InputError, match="^need one value per point$"):
+            scalar_variation(values, cover)
+
+
+@pytest.mark.parametrize("facets, message", [
+    ([[]], "facets must be nonempty"),
+    ([[0, 5]], "facet [0, 5] uses unknown vertices"),
+    ([[0], [0, 1]], "facet [0] is not maximal"),
+])
+def test_simplicial_complex_names_a_bad_facet(facets, message):
+    with pytest.raises(InputError) as err:
+        SimplicialComplex((0, 1), frozenset(map(frozenset, facets)), 1)
+    assert str(err.value) == message
 
 
 @settings(max_examples=80, deadline=None)
