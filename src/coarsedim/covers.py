@@ -203,17 +203,34 @@ class ChainGraph:
     def n_points(self) -> int:
         return len(self.neighbors)
 
-    def distances_from(self, sources: Iterable[int],
-                       within: frozenset[int] | None = None) -> list[int | None]:
+    def distances_from(self, sources: Iterable[int], within: frozenset[int] | None = None,
+                       until: frozenset[int] | None = None) -> list[int | None]:
         """Multi-source BFS distance to the nearest source; None where unreachable.
 
         With ``within``, the search enters only points of that set: every
-        other point but the sources stays None.
+        other point but the sources stays None.  With ``until``, the search
+        returns once every point of that set has its distance, so points
+        farther out may stay None too.  Each distance it gives is exact: BFS
+        fixes a point's distance when it first reaches the point.
         """
         dist: list = [None] * self.n_points
         queue: deque[int] = deque(sources)  # BFS distances do not depend on the source order
         for s in queue:
             dist[s] = 0
+        if until is not None:
+            left = len(until.difference(queue))
+            while queue and left:
+                x = queue.popleft()
+                d = dist[x] + 1
+                for y in self.neighbors[x]:
+                    if dist[y] is None and (within is None or y in within):
+                        dist[y] = d
+                        queue.append(y)
+                        if y in until:
+                            left -= 1
+                            if not left:
+                                break
+            return dist
         while queue:
             x = queue.popleft()
             d = dist[x] + 1
@@ -419,6 +436,9 @@ def diameter_in_graph(points: Iterable[int], graph: ChainGraph) -> ExtNat:
     the candidate with the largest hi and the one with the smallest lo, ties
     to the least id, until no candidate is left.
     If the first BFS misses a point of S, the set is split: INFINITY.
+    Each BFS stops once every point of S has its distance, since only those
+    distances are read; on a set small against the graph it walks little
+    more than the set's ball around the source.
 
     Worst case |S| BFS runs, as on a cycle, where no bound ever drops a
     candidate.  Alternating with the smallest lo, rather than always taking
@@ -426,7 +446,8 @@ def diameter_in_graph(points: Iterable[int], graph: ChainGraph) -> ExtNat:
     preimages of the ``roundtrip2d`` skeleton map at seed 1, in one
     ``is_uniformly_bounded`` call) and changes nothing on lines.
     """
-    pts = sorted(_check_points(points, graph.n_points))
+    inside = _check_points(points, graph.n_points)
+    pts = sorted(inside)
     if len(pts) < 2:
         return ExtNat(0)
     lo = dict.fromkeys(pts, 0)
@@ -436,7 +457,7 @@ def diameter_in_graph(points: Iterable[int], graph: ChainGraph) -> ExtNat:
     source = pts[0]
     pick_high = True
     while True:
-        dist = graph.distances_from((source,))
+        dist = graph.distances_from((source,), until=inside)
         row = [dist[b] for b in pts]
         if None in row:
             return INFINITY
@@ -477,7 +498,10 @@ def is_uniformly_bounded(cover: Cover, space, bound) -> BoundednessCertificate:
 
     A coarse space measures chain diameter in its gauge (an ExtNat), a metric
     space measures metric diameter (a Fraction).  The bound is an int or a
-    Fraction of at least 0, kept in the certificate as it was given.
+    Fraction of at least 0, kept in the certificate as it was given.  The
+    certificate's largest diameter and witness do not depend on the bound, so
+    a caller that keeps them may decide another bound without a new call, as
+    ``certify_pu`` and ``certify_delta_pu`` do per map and space.
     """
     _check_rational(bound, 0, "bound", strict=False)
     _check_same_points(cover, space)

@@ -10,7 +10,7 @@ from math import lcm
 from operator import add, itemgetter
 
 from .covers import (_EXACT, BoundednessCertificate, Cover, _check_int, _check_point,
-                     _check_points, _check_rational, _check_same_points, is_uniformly_bounded)
+                     _check_points, _check_rational, _check_same_points)
 from .errors import InputError, PreconditionError
 from .pou import BarycentricPoint, PartitionOfUnity, PUCertificate, certify_pu, l1_distance
 
@@ -28,7 +28,9 @@ class FiniteMetricSpace:
 
     A space is immutable, so it also keeps the diameter of every point set
     ``set_diameter`` has measured, as ``FiniteCoarseSpace`` does; an equal
-    space built anew measures again.
+    space built anew measures again.  It keeps its hash too: a map keys what
+    it measured against a metric by the metric's value, and hashing reads all
+    n^2 entries.
     """
 
     n_points: int
@@ -96,6 +98,13 @@ class FiniteMetricSpace:
             for j in range(i + 1, n):
                 row[j] = rows[j][i] = Fraction(sum(abs(s - t) for s, t in zip(a, ints[j])), cden)
         return cls(n, rows, check_triangle=False)
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n_points, self._scaled))
 
     @cached_property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -183,8 +192,9 @@ def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
     Neither scan depends on ``diameter_bound``, so f runs them once per
     (metric value, delta) and keeps their results beside what ``certify_pu``
     keeps per cover; a second certificate at an equal metric and delta reads
-    them.  Boundedness is decided every time, against the call's own bound,
-    on diameters the metric keeps.
+    them.  Nor do the star preimage diameters, which f measures once per
+    metric value, as ``certify_pu`` does per space; each certificate compares
+    the largest with its own bound.
     """
     delta = _check_rational(delta, 0, "delta")
     diameter_bound = _check_rational(diameter_bound, 0, "diameter_bound", strict=False)
@@ -194,7 +204,7 @@ def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
     if scans is None:
         scans = f._measured[key] = _delta_scans(f, metric, delta)
     lip_ok, lip_pair, lip_value, lip_allowance, leb_pair = scans
-    bcert = is_uniformly_bounded(f.star_preimage_cover(), metric, diameter_bound)
+    bcert = f._star_preimages_bounded(metric, diameter_bound)
     return DeltaPUCertificate(
         delta=delta,
         lipschitz_ok=lip_ok,

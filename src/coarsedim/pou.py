@@ -208,8 +208,9 @@ class PartitionOfUnity:
 
     A map is immutable: ``values`` is not changed after construction.  So the
     map keeps its star preimage cover, per cover what ``certify_pu`` measured
-    against it, and per (metric, delta) what ``certify_delta_pu`` measured,
-    once they are first built.
+    against it, per (metric, delta) what ``certify_delta_pu`` measured, and per
+    space the largest star preimage diameter with its witness, once they are
+    first built.
     """
 
     values: dict[int, BarycentricPoint]
@@ -270,8 +271,22 @@ class PartitionOfUnity:
     @cached_property
     def _measured(self) -> dict:
         """Per cover value, the variation and the coarsening witnesses ``certify_pu``
-        found; per (metric value, delta), the scans ``certify_delta_pu`` ran."""
+        found; per (metric value, delta), the scans ``certify_delta_pu`` ran; per
+        space value, the largest star preimage diameter and its witness."""
         return {}
+
+    def _star_preimages_bounded(self, space, bound) -> BoundednessCertificate:
+        """``is_uniformly_bounded`` of the star preimage cover in ``space``, which
+        measures once per space value; later calls decide their own ``bound`` on
+        the kept diameter and witness, after the check a new call makes of it."""
+        kept = self._measured.get(space)
+        if kept is None:
+            cert = is_uniformly_bounded(self.star_preimage_cover(), space, bound)
+            self._measured[space] = (cert.max_diameter, cert.witness)
+            return cert
+        _check_rational(bound, 0, "bound", strict=False)
+        worst, witness = kept
+        return BoundednessCertificate(bound, worst, witness, worst <= bound)
 
     def max_carrier_size(self) -> int:
         return max(len(bp.carrier) for bp in self.values.values())
@@ -474,9 +489,9 @@ def certify_pu(f: PartitionOfUnity, cover: Cover, space, eps: Fraction | None,
 
     Neither the variation nor the coarsening witnesses depend on ``eps``, so
     f measures them once per cover value and keeps them; a second certificate
-    against an equal cover only compares them with its ``eps``.  The space and
-    the bound may differ between calls, so boundedness is decided every time,
-    on the star preimage cover that f keeps.
+    against an equal cover only compares them with its ``eps``.  Likewise f
+    measures its star preimages once per space value, and each certificate
+    compares the kept largest diameter with its own ``diameter_bound``.
     """
     if eps is not None:
         eps = _check_rational(eps, 0, "eps")
@@ -487,7 +502,7 @@ def certify_pu(f: PartitionOfUnity, cover: Cover, space, eps: Fraction | None,
     var, witnesses, failing = measured
     var_ok = eps is None or var.value < eps
     coarsen_ok = failing is None
-    bcert = is_uniformly_bounded(f.star_preimage_cover(), space, diameter_bound)
+    bcert = f._star_preimages_bounded(space, diameter_bound)
     return PUCertificate(
         eps=eps,
         variation_value=var.value,

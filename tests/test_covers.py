@@ -487,6 +487,17 @@ def test_bounded_bfs_enters_only_the_given_set():
     assert graph.distances_from([2]) == [2, 1, 0, 1, 2, 3, 4, 5]
 
 
+def test_bfs_stops_at_the_last_point_of_the_stop_set():
+    graph = line_cover(8).chain
+    assert graph.distances_from([2], until=frozenset({0, 4})) == [
+        2, 1, 0, 1, 2, None, None, None]
+    assert graph.distances_from([2], until=frozenset({2})) == [
+        None, None, 0, None, None, None, None, None]
+    # a stop point the search cannot reach lets it run out, as without a stop set
+    assert graph.distances_from([2], within=frozenset({3, 4}), until=frozenset({3, 6})) == [
+        None, None, 0, 1, 2, None, None, None]
+
+
 def test_chain_indices_search_only_the_region_and_its_rim(monkeypatch):
     reached = []
     bfs = ChainGraph.distances_from
@@ -620,9 +631,9 @@ def bfs_calls(monkeypatch):
     calls = []
     full_bfs = ChainGraph.distances_from
 
-    def recording(self, sources):
+    def recording(self, sources, **kwargs):
         calls.append(tuple(sources))
-        return full_bfs(self, sources)
+        return full_bfs(self, sources, **kwargs)
 
     monkeypatch.setattr(ChainGraph, "distances_from", recording)
     return calls
@@ -669,6 +680,68 @@ def test_chain_diameter_matches_all_pairs_oracle(n, seed, connected, cycle):
     bound = rng.randrange(0, n + 1)
     cert = is_uniformly_bounded(cover, space, bound)
     assert (cert.max_diameter, cert.witness, cert.ok) == bounded_by_oracle(cover, space, bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 18), st.integers(0, 10_000),
+       st.sampled_from(["random", "split", "singleton", "whole"]))
+def test_stopping_bfs_gives_the_diameter_and_sources_of_the_full_search(n, seed, kind):
+    # each diameter BFS stops once the set's points have their distances: the value must
+    # be the all-pairs diameter and the sources those of BFS runs over the whole graph
+    rng = random.Random(seed)
+    split = kind == "split" and n > 1
+    if split:  # no chain joins 0..m-1 to m..n-1
+        m = rng.randrange(1, n)
+        low, high = random_cover(rng, m), random_cover(rng, n - m)
+        gauge = Cover(low.sets + tuple(frozenset(x + m for x in s) for s in high.sets), n)
+    else:
+        gauge = random_cover(rng, n, connected=True)
+    graph = gauge.chain
+    if kind == "singleton":
+        points = frozenset({rng.randrange(n)})
+    elif kind == "whole":
+        points = frozenset(range(n))
+    else:
+        points = frozenset(x for x in range(n) if rng.random() < rng.random())
+    if split:
+        points |= {0, n - 1}
+    want = chain_diameter_all_pairs(points, graph)
+    full = ChainGraph.distances_from
+    stopped, walked = [], []
+
+    def stopping(self, sources, **kwargs):
+        sources = tuple(sources)
+        dist, whole = full(self, sources, **kwargs), full(self, sources)
+        assert all(d is None or d == w for d, w in zip(dist, whole))
+        assert [dist[b] for b in kwargs["until"]] == [whole[b] for b in kwargs["until"]]
+        stopped.append(sources)
+        return dist
+
+    def walking(self, sources, **kwargs):
+        walked.append(tuple(sources))
+        return full(self, sources)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ChainGraph, "distances_from", stopping)
+        got = diameter_in_graph(points, graph)
+        patch.setattr(ChainGraph, "distances_from", walking)
+        assert diameter_in_graph(points, graph) == got == want
+    assert stopped == walked
+    assert (got == INFINITY) == split
+
+
+def test_diameter_bfs_reaches_few_points_of_a_large_grid(monkeypatch):
+    # a count pins the stopping search: a BFS over the whole 40x40 grid reaches all
+    # 1600 points, so 16000 over these 10 runs
+    runs = []
+    full = ChainGraph.distances_from
+    monkeypatch.setattr(ChainGraph, "distances_from", lambda *args, **kwargs: runs.append(
+        full(*args, **kwargs)) or runs[-1])
+    grid = gen_grid2d(40, 40)
+    star = star_cover(grid.bricks(8), grid.space.gauge).sets[13]
+    assert diameter_in_graph(star, grid.space.chain) == 16
+    assert len(runs) == 10
+    assert sum(len(dist) - dist.count(None) for dist in runs) == 4478
 
 
 def test_coarse_space_measures_each_set_once(bfs_calls):

@@ -114,6 +114,20 @@ def test_int_metric_is_its_fraction_twin():
     assert FiniteMetricSpace.from_l1_points([(0,), (3,)]).d(0, 1) == 3
 
 
+def test_metric_hashes_its_distances_once():
+    # an equal metric built anew is equal and hashes equal; a relabelled one is neither
+    rng = random.Random(5)
+    pts = [(rng.randrange(-5, 6), F(rng.randrange(7), 3)) for _ in range(9)]
+    metric = FiniteMetricSpace.from_l1_points(pts)
+    again = FiniteMetricSpace.from_l1_points(pts)
+    relabelled = FiniteMetricSpace.from_l1_points(pts[1:] + pts[:1])
+    assert again is not metric and again == metric and hash(again) == hash(metric)
+    assert relabelled != metric and hash(relabelled) != hash(metric)
+    # the second hash reads the kept one, not the rows
+    object.__setattr__(again, "_scaled", None)
+    assert hash(again) == hash(metric)
+
+
 @pytest.mark.parametrize("n, rows, message", [
     pytest.param(2, [[0, 1]], "distance matrix shape does not match the point count", id="shape"),
     pytest.param(2, [[0, 1], [1, 2]], "nonzero self-distance at point 1", id="self"),
@@ -506,7 +520,7 @@ def test_a_map_runs_its_delta_scans_once_per_metric_and_delta(monkeypatch):
     metric, f = fine_scale_map()
     first = certify_delta_pu(f, metric, F(1, 16), 64)
     assert first.ok and calls
-    # another bound decides boundedness anew on the kept scans
+    # another bound is decided on the kept scans and the kept star preimage diameter
     calls.clear()
     tight = certify_delta_pu(f, metric, F(1, 16), 10)
     assert not calls
@@ -532,16 +546,19 @@ def bridge_outcome(call):
         return doc_dumps(call())
     except PreconditionError as err:
         return str(err), doc_dumps(err.witness)
+    except InputError as err:
+        return str(err)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 10), st.integers(0, 10_000), st.booleans())
 def test_bridge_certificates_of_a_kept_map_and_metric_match_fresh_ones(n, seed, balls):
     # one map and one metric through a sequence of gates and comparisons, at deltas
-    # and bounds that repeat, against an unused map and metric each time
+    # and bounds that repeat, some ints and one out of range, against an unused map and
+    # metric each time; a second metric now and then
     rng = random.Random(seed)
-    metric = FiniteMetricSpace.from_l1_points(
-        [(random_fraction(rng, 0, n, 2),) for _ in range(n)])
+    metric, other = (FiniteMetricSpace.from_l1_points(
+        [(random_fraction(rng, 0, n, 2),) for _ in range(n)]) for _ in range(2))
     if balls:
         f = barycentric_map(ball_cover(metric, 1), ball_cover(metric, rng.randrange(1, n + 2)))
     else:
@@ -553,8 +570,8 @@ def test_bridge_certificates_of_a_kept_map_and_metric_match_fresh_ones(n, seed, 
         delta = rng.choice([F(1, 4), F(1, 2), F(1), F(3, 2)])
         if step == "gate" and rng.random() < 0.5:
             delta = delta * delta / 4  # the forward comparison's gate
-        bound = rng.choice([F(0), F(n, 3), F(n)])
-        kept = rng.choice([metric, equal_copy(metric)])
+        bound = rng.choice([F(0), F(n, 3), F(n), n // 2, -1])
+        kept = rng.choice([metric, equal_copy(metric), other])
         fresh = PartitionOfUnity(dict(f.values), n, f.vertices, f.complex)
         assert bridge_outcome(lambda: steps[step](f, kept, delta, bound)) == \
-            bridge_outcome(lambda: steps[step](fresh, equal_copy(metric), delta, bound))
+            bridge_outcome(lambda: steps[step](fresh, equal_copy(kept), delta, bound))

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,6 +19,7 @@ from coarsedim import (
     PartitionOfUnity,
     SimplicialComplex,
     barycentric_map,
+    certify_delta_pu,
     certify_pu,
     chain_indices,
     coarsening_witnesses,
@@ -32,7 +34,7 @@ from coarsedim import (
     variation,
 )
 from coarsedim import pou
-from coarsedim.formats import load_pu
+from coarsedim.formats import doc_dumps, load_pu
 from coarsedim.generators import random_cover, random_fraction, random_refinement_pair
 from coarsedim.oracles import (
     chain_index_by_enumeration,
@@ -707,16 +709,20 @@ def test_a_map_measures_one_cover_once_and_decides_each_certificate_anew(monkeyp
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 10), st.integers(0, 10_000), st.booleans())
 def test_certificates_of_a_kept_map_match_those_of_a_fresh_map(n, seed, metric):
-    # one map certified over and over, against covers old, new and equal to old ones,
-    # in either kind of space, at any eps and bound: each call as on an unused map
+    # one map certified over and over, against covers old, new and equal to old ones, in
+    # spaces of either kind old, new and equal to old ones, at any eps and at bounds that
+    # repeat, some ints and one out of range: each call as on an unused map
     rng = random.Random(seed)
     fine, coarse = random_refinement_pair(rng, n)
     f = barycentric_map(fine, coarse)
     if metric:
-        space = FiniteMetricSpace.from_l1_points(
-            [(random_fraction(rng, 0, 3, 4),) for _ in range(n)])
+        coords = [[(random_fraction(rng, 0, 3, 4),) for _ in range(n)] for _ in range(2)]
+        spaces = [FiniteMetricSpace.from_l1_points(c) for c in coords + coords[:1]]
     else:
-        space = FiniteCoarseSpace(n, random_cover(rng, n))
+        gauges = [random_cover(rng, n) for _ in range(2)]
+        spaces = [FiniteCoarseSpace(n, Cover(g.sets, n)) for g in gauges + gauges[:1]]
+    bounds = [random_fraction(rng, 0, n, 3), random_fraction(rng, 0, n, 3), rng.randrange(n),
+              F(-1, 2)]
     covers = [fine, coarse]
     for _ in range(8):
         if rng.random() < 0.3:
@@ -725,10 +731,66 @@ def test_certificates_of_a_kept_map_match_those_of_a_fresh_map(n, seed, metric):
         if rng.random() < 0.5:
             cover = Cover(cover.sets, n, cover.allow_empty)
         eps = None if rng.random() < 0.2 else random_fraction(rng, 0, 2, 6) or F(1, 7)
-        bound = random_fraction(rng, 0, n, 3)
+        space, bound = rng.choice(spaces), rng.choice(bounds)
         fresh = PartitionOfUnity(dict(f.values), n, f.vertices, f.complex)
-        assert certify_pu(f, cover, space, eps, bound) == \
-            certify_pu(fresh, cover, space, eps, bound)
+        assert certificate_or_refusal(lambda: certify_pu(f, cover, space, eps, bound)) == \
+            certificate_or_refusal(lambda: certify_pu(fresh, cover, space, eps, bound))
+
+
+def certificate_or_refusal(call):
+    """The certificate with its document, or the refusal's message."""
+    try:
+        cert = call()
+    except InputError as err:
+        return str(err)
+    return cert, doc_dumps(cert)
+
+
+def test_a_map_measures_its_star_preimages_once_per_space(monkeypatch):
+    calls = []
+    for cls in (FiniteCoarseSpace, FiniteMetricSpace):
+        def counted(self, points, _inner=cls.set_diameter):
+            calls.append(self)
+            return _inner(self, points)
+        monkeypatch.setattr(cls, "set_diameter", counted)
+    line = gen_line(60)
+    space, gauge = line.space, line.space.gauge
+    f = barycentric_map(gauge, line.staggered(5))  # star preimage diameter 9
+    first = certify_pu(f, gauge, space, F(1, 2), 9)
+    assert first.ok and calls
+    calls.clear()
+    # another bound, another cover and an equal space built anew read the kept diameter
+    tight = certify_pu(f, gauge, space, F(1, 2), 8)
+    assert (tight.boundedness.max_diameter, tight.boundedness.witness) == (
+        first.boundedness.max_diameter, first.boundedness.witness)
+    assert not tight.boundedness.ok and not tight.ok
+    again = FiniteCoarseSpace(60, Cover(gauge.sets, 60))
+    assert certify_pu(f, line.staggered(5), again, None, F(17, 2)).boundedness == replace(
+        first.boundedness, bound=F(17, 2), ok=False)
+    assert not calls
+    # a bad bound is refused on a kept diameter as on a first measurement
+    for bad, message in ((-1, "bound = -1 is not >= 0"), (F(-1, 3), "bound = -1/3 is not >= 0"),
+                         (True, "bound = True is not an int or Fraction"),
+                         (9.0, "bound = 9.0 is not an int or Fraction")):
+        for m in (f, barycentric_map(gauge, line.staggered(5))):
+            with pytest.raises(InputError) as err:
+                certify_pu(m, gauge, space, F(1, 2), bad)
+            assert str(err.value) == message
+    assert not calls
+    # a different space measures again: a coarser gauge, then a metric, whose diameters
+    # the metric certificates read too
+    coarser = FiniteCoarseSpace(60, iterated_star(gauge, 1))
+    assert certify_pu(f, gauge, coarser, F(1, 2), 9).boundedness.max_diameter == 3
+    assert calls and set(calls) == {coarser}
+    calls.clear()
+    metric = FiniteMetricSpace.line(60)
+    assert certify_pu(f, gauge, metric, F(1, 2), 9).boundedness == first.boundedness
+    assert calls and set(calls) == {metric}
+    calls.clear()
+    assert certify_delta_pu(f, metric, F(1, 16), 8).boundedness == tight.boundedness
+    assert certify_delta_pu(f, FiniteMetricSpace.line(60), F(1, 8), 9).boundedness == \
+        first.boundedness
+    assert not calls
 
 
 @settings(max_examples=40, deadline=None)
