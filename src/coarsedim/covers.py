@@ -217,27 +217,20 @@ class ChainGraph:
         queue: deque[int] = deque(sources)  # BFS distances do not depend on the source order
         for s in queue:
             dist[s] = 0
-        if until is not None:
-            left = len(until.difference(queue))
-            while queue and left:
-                x = queue.popleft()
-                d = dist[x] + 1
-                for y in self.neighbors[x]:
-                    if dist[y] is None and (within is None or y in within):
-                        dist[y] = d
-                        queue.append(y)
-                        if y in until:
-                            left -= 1
-                            if not left:
-                                break
-            return dist
-        while queue:
+        # without ``until`` the count starts below zero and never reaches it
+        stop = frozenset() if until is None else until
+        left = -1 if until is None else len(until.difference(queue))
+        while queue and left:
             x = queue.popleft()
             d = dist[x] + 1
             for y in self.neighbors[x]:
                 if dist[y] is None and (within is None or y in within):
                     dist[y] = d
                     queue.append(y)
+                    if y in stop:
+                        left -= 1
+                        if not left:
+                            break
         return dist
 
     def is_connected(self) -> bool:
@@ -492,18 +485,17 @@ class BoundednessCertificate:
     witness: int | None
     ok: bool
 
+    @classmethod
+    def decide(cls, bound, max_diameter, witness) -> "BoundednessCertificate":
+        """The certificate of a largest diameter and its witness against ``bound``,
+        an int or a Fraction of at least 0, kept as it was given."""
+        _check_rational(bound, 0, "bound", strict=False)
+        return cls(bound, max_diameter, witness, max_diameter <= bound)
 
-def is_uniformly_bounded(cover: Cover, space, bound) -> BoundednessCertificate:
-    """Check every element has diameter <= bound, as measured by ``space.set_diameter``.
 
-    A coarse space measures chain diameter in its gauge (an ExtNat), a metric
-    space measures metric diameter (a Fraction).  The bound is an int or a
-    Fraction of at least 0, kept in the certificate as it was given.  The
-    certificate's largest diameter and witness do not depend on the bound, so
-    a caller that keeps them may decide another bound without a new call, as
-    ``certify_pu`` and ``certify_delta_pu`` do per map and space.
-    """
-    _check_rational(bound, 0, "bound", strict=False)
+def _largest_diameter(cover: Cover, space) -> tuple[object, int | None]:
+    """The largest ``space.set_diameter`` of an element and the least index attaining
+    it; the empty set's diameter and None when no element is larger."""
     _check_same_points(cover, space)
     worst = space.set_diameter(())
     worst_set = None
@@ -514,8 +506,22 @@ def is_uniformly_bounded(cover: Cover, space, bound) -> BoundednessCertificate:
             worst_set = s
         if d == INFINITY:  # nothing exceeds it
             break
-    witness = None if worst_set is None else cover.sets.index(worst_set)
-    return BoundednessCertificate(bound, worst, witness, worst <= bound)
+    return worst, None if worst_set is None else cover.sets.index(worst_set)
+
+
+def is_uniformly_bounded(cover: Cover, space, bound) -> BoundednessCertificate:
+    """Check every element has diameter <= bound, as measured by ``space.set_diameter``.
+
+    A coarse space measures chain diameter in its gauge (an ExtNat), a metric
+    space measures metric diameter (a Fraction).  The bound is an int or a
+    Fraction of at least 0, kept in the certificate as it was given, and is
+    refused before any diameter is measured.  The certificate's largest
+    diameter and witness do not depend on the bound, so a caller that keeps
+    them may decide another bound with ``BoundednessCertificate.decide``, as
+    ``certify_pu`` and ``certify_delta_pu`` do per map and space.
+    """
+    _check_rational(bound, 0, "bound", strict=False)
+    return BoundednessCertificate.decide(bound, *_largest_diameter(cover, space))
 
 
 def shrink_with_multiplicity(fine: Cover, coarse: Cover) -> Cover:

@@ -278,15 +278,13 @@ class PartitionOfUnity:
     def _star_preimages_bounded(self, space, bound) -> BoundednessCertificate:
         """``is_uniformly_bounded`` of the star preimage cover in ``space``, which
         measures once per space value; later calls decide their own ``bound`` on
-        the kept diameter and witness, after the check a new call makes of it."""
+        the kept diameter and witness, with the check a new call makes of it."""
         kept = self._measured.get(space)
         if kept is None:
             cert = is_uniformly_bounded(self.star_preimage_cover(), space, bound)
             self._measured[space] = (cert.max_diameter, cert.witness)
             return cert
-        _check_rational(bound, 0, "bound", strict=False)
-        worst, witness = kept
-        return BoundednessCertificate(bound, worst, witness, worst <= bound)
+        return BoundednessCertificate.decide(bound, *kept)
 
     def max_carrier_size(self) -> int:
         return max(len(bp.carrier) for bp in self.values.values())

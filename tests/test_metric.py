@@ -541,13 +541,14 @@ def equal_copy(metric):
 
 
 def bridge_outcome(call):
-    """The certificate's document, or the refusal's message and witness document."""
+    """The certificate's document, the refusal's message and witness document, or
+    a bad input's message marked as such."""
     try:
         return doc_dumps(call())
     except PreconditionError as err:
         return str(err), doc_dumps(err.witness)
     except InputError as err:
-        return str(err)
+        return "bad input", str(err)
 
 
 @settings(max_examples=60, deadline=None)
@@ -573,5 +574,6 @@ def test_bridge_certificates_of_a_kept_map_and_metric_match_fresh_ones(n, seed, 
         bound = rng.choice([F(0), F(n, 3), F(n), n // 2, -1])
         kept = rng.choice([metric, equal_copy(metric), other])
         fresh = PartitionOfUnity(dict(f.values), n, f.vertices, f.complex)
-        assert bridge_outcome(lambda: steps[step](f, kept, delta, bound)) == \
-            bridge_outcome(lambda: steps[step](fresh, equal_copy(kept), delta, bound))
+        outcome = bridge_outcome(lambda: steps[step](f, kept, delta, bound))
+        assert (outcome[0] == "bad input") == (bound < 0)  # the one bad input drawn is the bound
+        assert outcome == bridge_outcome(lambda: steps[step](fresh, equal_copy(kept), delta, bound))

@@ -733,8 +733,9 @@ def test_certificates_of_a_kept_map_match_those_of_a_fresh_map(n, seed, metric):
         eps = None if rng.random() < 0.2 else random_fraction(rng, 0, 2, 6) or F(1, 7)
         space, bound = rng.choice(spaces), rng.choice(bounds)
         fresh = PartitionOfUnity(dict(f.values), n, f.vertices, f.complex)
-        assert certificate_or_refusal(lambda: certify_pu(f, cover, space, eps, bound)) == \
-            certificate_or_refusal(lambda: certify_pu(fresh, cover, space, eps, bound))
+        kept = certificate_or_refusal(lambda: certify_pu(f, cover, space, eps, bound))
+        assert isinstance(kept, str) == (bound < 0)  # the one bad input drawn is the bound
+        assert kept == certificate_or_refusal(lambda: certify_pu(fresh, cover, space, eps, bound))
 
 
 def certificate_or_refusal(call):
