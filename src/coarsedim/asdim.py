@@ -35,6 +35,7 @@ from .pou import (
     BarycentricPoint,
     PartitionOfUnity,
     PUCertificate,
+    _l1_ratio,
     barycentric_map,
     certify_pu,
     l1_distance,
@@ -383,7 +384,7 @@ def skeletal_retract(f: PartitionOfUnity, subset, m: int, cover: Cover,
     dist, anchor_of = _nearest_anchor(cover.chain, region)
 
     values: dict[int, BarycentricPoint] = {}
-    max_shift = Fraction(0)
+    top, top_num, top_den = None, 0, 1  # the first point of largest shift, and the shift
     for x, d in enumerate(dist):
         fx = values[x] = given[x]
         if d is None or d > m:  # outside the m-fold star of the subset
@@ -408,11 +409,12 @@ def skeletal_retract(f: PartitionOfUnity, subset, m: int, cover: Cover,
         kept[target] = kept.get(target, 0) + moved
         gx = BarycentricPoint._from_ints(kept, fx.den)
         values[x] = gx
-        shift = l1_distance(gx, fx)
-        if shift != Fraction(2 * moved, fx.den):
+        num, den = _l1_ratio(gx, fx)
+        if num * fx.den != 2 * moved * den:  # the shift is not 2*moved/fx.den
             raise ConstructionError("retract moved a different mass than it removed")
-        if shift > max_shift:
-            max_shift = shift
+        if num * top_den > top_num * den:
+            top, top_num, top_den = x, num, den
+    max_shift = Fraction(0) if top is None else l1_distance(values[top], given[top])
     pu = PartitionOfUnity(values, f.n_points, f.vertices, f.complex)
     return RetractResult(pu, max_shift, m * delta)
 
@@ -503,11 +505,13 @@ def filler(space: FiniteCoarseSpace, f: PartitionOfUnity, subset, cover: Cover,
     budget = params.variation_budget()
     measured = cert.variation_value
 
-    deviation = Fraction(0)
-    for x in sorted(region):
-        gap = l1_distance(blended.values[x], retract.pu.values[x])
-        if gap > deviation:
-            deviation = gap
+    kept = retract.pu.values
+    worst, worst_num, worst_den = None, 0, 1  # an anchor of largest deviation, and the deviation
+    for x in region:
+        num, den = _l1_ratio(values[x], kept[x])
+        if num * worst_den > worst_num * den:
+            worst, worst_num, worst_den = x, num, den
+    deviation = Fraction(0) if worst is None else l1_distance(values[worst], kept[worst])
     peak_num, peak_den = 1, 1  # the least largest weight, as an int pair; no weight exceeds 1
     for bp in values.values():
         top = max(bp.num.values())

@@ -12,7 +12,8 @@ from operator import add, itemgetter
 from .covers import (_EXACT, BoundednessCertificate, Cover, _check_int, _check_point,
                      _check_points, _check_rational, _check_same_points)
 from .errors import InputError, PreconditionError
-from .pou import BarycentricPoint, PartitionOfUnity, PUCertificate, certify_pu, l1_distance
+from .pou import (BarycentricPoint, PartitionOfUnity, PUCertificate, _l1_ratio, certify_pu,
+                  l1_distance)
 
 
 @dataclass(frozen=True, init=False)
@@ -221,17 +222,21 @@ def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
 def _delta_scans(f: PartitionOfUnity, metric: FiniteMetricSpace, delta: Fraction):
     """The Lipschitz scan's (ok, pair, l1 value, allowance) and the Lebesgue pair.
 
-    The Lipschitz scan measures l1 only where it could change the witness.
-    Two points with equal values are at l1 exactly 0, so they need no call.
-    Every l1 is at most 2, so a pair whose margin bound ``2 - (delta*d +
-    delta)`` is below the worst margin so far cannot become the witness:
-    pairs go in row order and only a strictly larger margin replaces it.
-    Each row after the first therefore skips the pairs beyond a distance
-    threshold drawn from the worst margin at its start.
+    The Lipschitz scan compares each margin on ``_l1_ratio``, in ints, and
+    builds one Fraction: ``l1_distance`` of the witness pair, or 0 when its
+    two values are equal.  It measures l1 only where it could change the
+    witness.  Two points with equal values are at l1 exactly 0, so they are
+    not measured.  Every l1 is at most 2, so a pair whose margin bound
+    ``2 - (delta*d + delta)`` is below the worst margin so far cannot become
+    the witness: pairs go in row order and only a strictly larger margin
+    replaces it.  Each row after the first therefore skips the pairs beyond
+    a distance threshold drawn from the worst margin at its start; the
+    threshold depends only on the margin's value, so the ratios need no
+    reducing.
     """
     # for delta = p/q, gap = g/h and d = e/den the margin gap - (delta*d + delta)
-    # is (g*q*den - p*(e + den)*h) / (h*q*den); all pairs share q*den, so the
-    # margins compare as num/h
+    # is (g*q*den - p*(e + den)*h) / (h*q*den), with g/h not reduced; all pairs
+    # share q*den, so the margins compare as num/h
     p, q = delta.numerator, delta.denominator
     den, rows = metric._scaled
     qd = q * den
@@ -239,8 +244,7 @@ def _delta_scans(f: PartitionOfUnity, metric: FiniteMetricSpace, delta: Fraction
     values = f.values
     ids: dict[BarycentricPoint, int] = {}
     cls = [ids.setdefault(values[x], len(ids)) for x in range(n)]  # equal values, equal ids
-    zero = Fraction(0)
-    worst_num, worst_h, lip_pair, lip_value = 0, 1, None, zero
+    worst_num, worst_h, lip_pair = 0, 1, None
     for x, row in enumerate(rows):
         fx, cx = values[x], cls[x]
         if lip_pair is None:
@@ -252,14 +256,18 @@ def _delta_scans(f: PartitionOfUnity, metric: FiniteMetricSpace, delta: Fraction
             ys = [y for y in range(x + 1, n) if row[y] <= top]
         for y in ys:
             if cls[y] == cx:
-                gap = zero
+                g, h = 0, 1
             else:
-                gap = l1_distance(fx, values[y])
-            h = gap.denominator
-            num = gap.numerator * qd - p * (row[y] + den) * h
+                g, h = _l1_ratio(fx, values[y])
+            num = g * qd - p * (row[y] + den) * h
             if lip_pair is None or num * worst_h > worst_num * h:
-                worst_num, worst_h, lip_pair, lip_value = num, h, (x, y), gap
-    lip_d = metric.d(*lip_pair) if lip_pair else 0
+                worst_num, worst_h, lip_pair = num, h, (x, y)
+    lip_value, lip_d = Fraction(0), 0
+    if lip_pair:
+        x, y = lip_pair
+        if cls[x] != cls[y]:
+            lip_value = l1_distance(values[x], values[y])
+        lip_d = metric.d(x, y)
     leb_pair = _lebesgue_pair(metric, delta, [values[x].carrier for x in range(n)])
     return worst_num <= 0, lip_pair, lip_value, delta * lip_d + delta, leb_pair
 

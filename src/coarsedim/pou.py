@@ -120,12 +120,13 @@ class BarycentricPoint:
         return f"BarycentricPoint({{{inner}}})"
 
 
-def l1_distance(a: BarycentricPoint, b: BarycentricPoint) -> Fraction:
-    """Exact l1 distance between two barycentric points over a shared vertex universe.
+def _l1_ratio(a: BarycentricPoint, b: BarycentricPoint) -> tuple[int, int]:
+    """The l1 distance of two barycentric points as an int numerator over a positive
+    int denominator, not reduced: the scans compare these by cross-multiplication.
 
     Over the common denominator D_a*D_b the sum of |a_v*D_b - b_v*D_a| is
     2*(D_a*D_b - sum of min(a_v*D_b, b_v*D_a)), because both sides sum to
-    D_a*D_b; only the shared vertices take part.  One Fraction is built.
+    D_a*D_b; only the shared vertices take part.
     """
     da, db = a.den, b.den
     an, bn = a.num, b.num
@@ -139,7 +140,16 @@ def l1_distance(a: BarycentricPoint, b: BarycentricPoint) -> Fraction:
             y *= da
             shared += x if x < y else y
     prod = da * db
-    return Fraction(2 * (prod - shared), prod)
+    return 2 * (prod - shared), prod
+
+
+def l1_distance(a: BarycentricPoint, b: BarycentricPoint) -> Fraction:
+    """Exact l1 distance between two barycentric points over a shared vertex universe.
+
+    The one place an l1 Fraction is built: ``_l1_ratio`` reduced.  The scans
+    decide on ``_l1_ratio`` and call this once, for the value they report.
+    """
+    return Fraction(*_l1_ratio(a, b))
 
 
 @dataclass(frozen=True)
@@ -298,14 +308,17 @@ class VariationResult:
     pair: tuple[int, int] | None
 
 
-def _variation_scan(values: dict[int, object], cover: Cover, distance) -> VariationResult:
+def _variation_scan(values: dict[int, object], cover: Cover, ratio, distance) -> VariationResult:
     """Max distance between value classes over within-element pairs.
 
-    Each distinct value gets an int class id, and its first value object
-    stands for the class.  Elements with the same set of classes are read
-    once, and each class pair that shares an element is measured once.  The
-    witness is the lexicographically least within-element pair of points
-    whose class pair attains the maximum.
+    ``ratio`` gives a distance as an int numerator over a positive int
+    denominator, not necessarily reduced; the scan compares these by
+    cross-multiplication.  Each distinct value gets an int class id, and its
+    first value object stands for the class.  Elements with the same set of
+    classes are read once, and each class pair that shares an element is
+    measured once.  The witness is the lexicographically least within-element
+    pair of points whose class pair attains the maximum, and ``distance`` of
+    its two values, the one Fraction the scan builds, is the value.
     """
     ids: dict[object, int] = {}
     cls = {x: ids.setdefault(v, len(ids)) for x, v in values.items()}
@@ -328,14 +341,13 @@ def _variation_scan(values: dict[int, object], cover: Cover, distance) -> Variat
         for b in m:
             if a < b:
                 pairs[(a, b)] = None
-    best = Fraction(0)
     best_num, best_den = 0, 1
     top: set[tuple[int, int]] = set()  # the class pairs at the best value
     for ca, cb in pairs:  # each class pair measured once
-        d = distance(reps[ca], reps[cb])
-        lhs, rhs = d.numerator * best_den, best_num * d.denominator  # d against best
+        num, den = ratio(reps[ca], reps[cb])
+        lhs, rhs = num * best_den, best_num * den  # the pair against the best
         if lhs > rhs:
-            best, best_num, best_den = d, d.numerator, d.denominator
+            best_num, best_den = num, den
             top = {(ca, cb)}
         elif lhs == rhs and best_num > 0:
             top.add((ca, cb))
@@ -358,24 +370,42 @@ def _variation_scan(values: dict[int, object], cover: Cover, distance) -> Variat
                          if ((ca, cb) if ca < cb else (cb, ca)) in top), None)
         if pair is not None and (best_pair is None or pair < best_pair):
             best_pair = pair
-    return VariationResult(best, best_pair)
+    if best_pair is None:
+        return VariationResult(Fraction(0), None)
+    return VariationResult(distance(values[best_pair[0]], values[best_pair[1]]), best_pair)
 
 
 def variation(f: PartitionOfUnity, cover: Cover) -> VariationResult:
-    """Largest l1 displacement of f over pairs contained in one cover element."""
+    """Largest l1 displacement of f over pairs contained in one cover element.
+
+    The scan compares ``_l1_ratio``s; the value is ``l1_distance`` of the
+    witness pair, whose class pair attains the largest ratio.
+    """
     _check_same_points(f, cover)
-    return _variation_scan(f.values, cover, l1_distance)
+    return _variation_scan(f.values, cover, _l1_ratio, l1_distance)
+
+
+def _gap_ratio(a: Fraction, b: Fraction) -> tuple[int, int]:
+    """|a - b| as an int numerator over a positive int denominator, not reduced."""
+    p, q = a.as_integer_ratio()
+    r, s = b.as_integer_ratio()
+    return abs(p * s - r * q), q * s
 
 
 def scalar_variation(values, cover: Cover) -> VariationResult:
-    """Variation of a function given as one int or Fraction per point, as a weight is."""
+    """Variation of a function given as one int or Fraction per point, as a weight is.
+
+    The scan compares |a - b| as the int ratio |p*s - r*q| / (q*s) for a = p/q
+    and b = r/s; the value is |a - b| of the witness pair.
+    """
     vals = list(values)
     for x, v in enumerate(vals):
         if type(v) not in _EXACT:
             raise InputError(f"value {v!r} at point {x} is not an int or Fraction")
     if len(vals) != cover.n_points:
         raise InputError("need one value per point")
-    return _variation_scan(dict(enumerate(map(Fraction, vals))), cover, lambda a, b: abs(a - b))
+    return _variation_scan(dict(enumerate(map(Fraction, vals))), cover, _gap_ratio,
+                           lambda a, b: abs(a - b))
 
 
 def quotient_variation_bound(m, n) -> Fraction:

@@ -614,6 +614,7 @@ def test_retract_genuinely_moves_offcarrier_mass():
         assert gx.carrier <= anchor_carrier
         assert gx.carrier <= pu.values[x].carrier | anchor_carrier
         assert res.max_shift >= l1_distance(gx, pu.values[x]) > 0
+    assert res.max_shift == max(l1_distance(res.pu.values[x], pu.values[x]) for x in moved)
 
 
 def test_retract_target_is_the_anchor_vertex_of_largest_weight():

@@ -39,6 +39,7 @@ from coarsedim.oracles import (
     triangle_violation_fractions,
     variation_all_pairs,
 )
+from coarsedim.pou import _l1_ratio
 
 F = Fraction
 
@@ -399,9 +400,15 @@ def test_int_arithmetic_matches_fraction_oracle(n, seed):
         values[x] = a
     f = PartitionOfUnity(values, n, base.vertices)
 
-    for x in range(n):
-        for y in range(n):
-            assert l1_distance(values[x], values[y]) == l1_distance_fractions(values[x], values[y])
+    # equal points, and two points off every carrier
+    m = len(base.vertices)
+    points = [*values.values(), base.values[0], BarycentricPoint.vertex(m),
+              BarycentricPoint({m: F(1, 3), m + 1: F(2, 3)})]
+    for a in points:
+        for b in points:
+            num, den = _l1_ratio(a, b)
+            assert den > 0
+            assert F(num, den) == l1_distance(a, b) == l1_distance_fractions(a, b)
 
     cover = random_cover(rng, n)
     res = variation(f, cover)
@@ -462,22 +469,28 @@ def test_pruned_lipschitz_scan_matches_fraction_pair_scan(n, seed, relabelled_li
                 assert getattr(cert, name) == value, (name, delta)
 
 
+def counted_l1(monkeypatch):
+    """The l1 ratios the metric scans measure, and the l1 values they report."""
+    calls, reported = [], []
+    ratio = metric_module._l1_ratio
+    monkeypatch.setattr(metric_module, "_l1_ratio",
+                        lambda a, b: calls.append((a, b)) or ratio(a, b))
+    monkeypatch.setattr(metric_module, "l1_distance",
+                        lambda a, b: reported.append((a, b)) or l1_distance(a, b))
+    return calls, reported
+
+
 def test_lipschitz_scan_skips_equal_values_and_pairs_past_the_bound(monkeypatch):
-    calls = []
-
-    def counted(a, b):
-        calls.append((a, b))
-        return l1_distance(a, b)
-
-    monkeypatch.setattr(metric_module, "l1_distance", counted)
+    calls, reported = counted_l1(monkeypatch)
     metric = FiniteMetricSpace.line(200)
     cert = certify_delta_pu(constant_map(200), metric, F(1, 4), 199)
-    assert not calls
+    assert not calls and not reported
     assert cert.lipschitz_pair == (0, 1) and cert.lipschitz_value == 0
 
     _, f = fine_scale_map(200, 8)
     cert = certify_delta_pu(f, metric, F(1, 4), 199)
     assert 0 < len(calls) < 2000  # of the 19 900 pairs
+    assert reported == [(f.values[8], f.values[9])]  # one l1 Fraction, for the witness
     assert cert.ok and cert.lipschitz_pair == (8, 9)
     assert (cert.lipschitz_value, cert.lipschitz_allowance) == (F(2, 9), F(1, 2))
 
@@ -510,20 +523,15 @@ def test_metric_measures_each_set_once(monkeypatch):
 
 
 def test_a_map_runs_its_delta_scans_once_per_metric_and_delta(monkeypatch):
-    calls = []
-
-    def counted(a, b):
-        calls.append((a, b))
-        return l1_distance(a, b)
-
-    monkeypatch.setattr(metric_module, "l1_distance", counted)
+    calls, reported = counted_l1(monkeypatch)
     metric, f = fine_scale_map()
     first = certify_delta_pu(f, metric, F(1, 16), 64)
-    assert first.ok and calls
+    assert first.ok and calls and len(reported) <= 1
     # another bound is decided on the kept scans and the kept star preimage diameter
     calls.clear()
+    reported.clear()
     tight = certify_delta_pu(f, metric, F(1, 16), 10)
-    assert not calls
+    assert not calls and not reported
     assert tight.lipschitz_ok and tight.lebesgue_ok and not tight.ok
     assert tight == replace(first, boundedness=is_uniformly_bounded(
         f.star_preimage_cover(), metric, 10), ok=False)
@@ -531,9 +539,9 @@ def test_a_map_runs_its_delta_scans_once_per_metric_and_delta(monkeypatch):
     # delta = 1/2 gates at delta^2/4 = 1/16 without a scan
     assert certify_delta_pu(f, FiniteMetricSpace.line(100), F(2, 32), 64) == first
     assert comparison_forward(f, metric, F(1, 2), 64).ok
-    assert not calls
+    assert not calls and not reported
     certify_delta_pu(f, metric, F(1, 8), 64)
-    assert calls
+    assert calls and len(reported) <= 1
 
 
 def equal_copy(metric):

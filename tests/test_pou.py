@@ -529,13 +529,20 @@ def test_variation_takes_least_pair_even_when_a_later_element_holds_it():
 
 
 def test_variation_measures_each_class_pair_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(pou, "l1_distance", lambda a, b: calls.append((a, b)) or l1_distance(a, b))
+    # the scan's ratios come first; the one reported value's ratio comes last, from
+    # inside l1_distance
+    ratios, reported = [], []
+    ratio = pou._l1_ratio
+    monkeypatch.setattr(pou, "_l1_ratio", lambda a, b: ratios.append((a, b)) or ratio(a, b))
+    monkeypatch.setattr(pou, "l1_distance",
+                        lambda a, b: reported.append((a, b)) or l1_distance(a, b))
     line = gen_line(40)
     f = barycentric_map(line.space.gauge, line.staggered(5))
     cover = iterated_star(line.space.gauge, 3)
     res = variation(f, cover)
-    assert len({frozenset(pair) for pair in calls}) == len(calls) > 0
+    assert len(reported) == 1 and ratios[-1:] == reported
+    scanned = ratios[:-1]
+    assert len({frozenset(pair) for pair in scanned}) == len(scanned) > 0
     assert (res.value, res.pair) == variation_all_pairs(f.values, cover, l1_distance)
 
 
@@ -557,24 +564,37 @@ def wide_cover(rng, n, grid):
     return Cover.of([[perm[x] for x in s] for s in sets], n)
 
 
+# three points pairwise at l1 2/3, whose l1 ratios are 4/6, 12/18 and 8/12, and one
+# point closer to each of them
+TIED = [BarycentricPoint({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}),
+        BarycentricPoint({0: F(1, 2), 1: F(1, 2)}),
+        BarycentricPoint({0: F(2, 3), 1: F(1, 6), 2: F(1, 6)}),
+        BarycentricPoint({0: F(1, 2), 1: F(1, 4), 2: F(1, 4)})]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 40), st.integers(0, 10_000), st.integers(2, 3), st.booleans(),
-       st.booleans())
+       st.sampled_from(["vertices", "two-vertex", "tied"]))
 def test_variation_over_wide_elements_matches_all_pairs_oracle(n, seed, n_classes, grid,
-                                                               vertices):
+                                                               values):
     # few value classes over wide elements: many elements share one class set,
-    # and many class pairs tie at the top
+    # and many class pairs tie at the top, some over different denominators
     rng = random.Random(seed)
     cover = wide_cover(rng, n, grid)
     n = cover.n_points
-    if vertices:
+    if values == "vertices":
         pool = [BarycentricPoint.vertex(v) for v in range(n_classes)]
-    else:
+    elif values == "two-vertex":
         pool = [BarycentricPoint({0: F(a, 4), 1: F(4 - a, 4)}) for a in rng.sample(range(5), n_classes)]
+    else:
+        pool = rng.sample(TIED, n_classes)
     f = PartitionOfUnity({x: rng.choice(pool) for x in range(n)}, n, (0, 1, 2))
     res = variation(f, cover)
     assert (res.value, res.pair) == variation_all_pairs(f.values, cover, l1_distance)
-    scalars = [rng.randrange(3) for _ in range(n_classes)]
+    if values == "tied":  # 1/3 as 1/3 and as 3/9
+        scalars = rng.sample([F(0), F(1, 3), F(2, 3)], n_classes)
+    else:
+        scalars = [rng.randrange(3) for _ in range(n_classes)]
     vals = [rng.choice(scalars) for _ in range(n)]
     res = scalar_variation(vals, cover)
     assert (res.value, res.pair) == variation_all_pairs(vals, cover, lambda a, b: abs(a - b))
