@@ -20,6 +20,7 @@ from .covers import (
     _check_points,
     _check_rational,
     _check_same_points,
+    _region_distances,
     chain_indices,
     diameter_in_graph,
     interior,
@@ -217,7 +218,7 @@ def trim_to_cover(f: PartitionOfUnity, cover: Cover, n: int) -> TrimResult:
     preimages = f.star_preimage_cover()
     inner, rims = [], []
     for s in preimages.sets:  # one BFS per preimage serves the gate and the trim
-        index = chain_indices(cover, s)
+        index = _region_distances(cover, s)
         inner.append(interior(cover, s, 2, index))
         rims.append(frozenset(x for x in s if index[x] == 2))
     bad = star_misfit(cover, 2, preimages, inner)
@@ -483,12 +484,16 @@ def filler(space: FiniteCoarseSpace, f: PartitionOfUnity, subset, cover: Cover,
     nerve_map = barycentric_map(cover, shrunk)
 
     # the shrunk family sits inside the star preimages, so the nerve map's
-    # carriers are faces of the input map's carriers
+    # carriers are faces of the input map's carriers; points that share a nerve
+    # map value share its relabel, keyed by the object, which nerve_map keeps alive
     values: dict[int, BarycentricPoint] = {}
+    relabels: dict[int, BarycentricPoint] = {}
     for x in range(space.n_points):
         bp = nerve_map.values[x]
-        relabeled = BarycentricPoint._from_ints({f.vertices[s]: w for s, w in bp.num.items()},
-                                                bp.den)
+        relabeled = relabels.get(id(bp))
+        if relabeled is None:
+            relabeled = relabels[id(bp)] = BarycentricPoint._from_ints(
+                {f.vertices[s]: w for s, w in bp.num.items()}, bp.den)
         if not relabeled.carrier <= f.values[x].carrier:
             raise ConstructionError(
                 f"nerve map carrier at point {x} escapes the input carrier")
@@ -499,6 +504,7 @@ def filler(space: FiniteCoarseSpace, f: PartitionOfUnity, subset, cover: Cover,
             values[x] = retract.pu.values[x]
         else:
             values[x] = retract.pu.values[x].blend(relabeled, a)
+    del relabels
     blended = PartitionOfUnity(values, space.n_points, f.vertices, f.complex)
 
     cert = certify_pu(blended, cover, space, _filler_bound(params.eps, n), diameter_bound)

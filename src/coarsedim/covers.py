@@ -82,7 +82,7 @@ class Cover:
         return len(self.membership[x])
 
     def max_multiplicity(self) -> int:
-        return max(len(m) for m in self.membership)
+        return max(map(len, self.membership))
 
     def has_empty_elements(self) -> bool:
         return any(not s for s in self.sets)
@@ -359,19 +359,41 @@ def _star_step(balls, gains, cover: Cover):
     return tuple(next_balls), tuple(next_gains)
 
 
+def _region_distances(cover: Cover, inside: frozenset[int]) -> list[int | None]:
+    """BFS distances whose entries on the region ``inside`` are its chain indices.
+
+    A shortest chain leaves the region through a point next to it, so the BFS
+    starts from those points and enters only the region.  They are found
+    through the elements that meet the region but do not lie inside it; when
+    the region holds most of the space, starting from the whole complement
+    costs less.  Entries off the region are 0 or None and mean nothing.
+    """
+    n = cover.n_points
+    if 2 * len(inside) > n:
+        return cover.chain.distances_from(y for y in range(n) if y not in inside)
+    membership, sets = cover.membership, cover.sets
+    met: set[int] = set()
+    rim: set[int] = set()
+    for x in inside:
+        for e in membership[x]:
+            if e not in met:
+                met.add(e)
+                if not sets[e] <= inside:
+                    rim |= sets[e] - inside
+    return cover.chain.distances_from(rim, within=inside)
+
+
 def chain_indices(cover: Cover, region: Iterable[int]) -> list[int | None]:
     """Per point, the shortest chain length to a point outside ``region``; None if unreachable.
 
-    A shortest chain leaves the region through a point next to it, so the BFS
-    starts from those points and enters only the region.  Finding them costs
-    the region's elements; when the region holds most of the space, starting
-    from the whole complement costs less.
+    A fresh list of n entries: 0 off the region, and on it the distances of
+    one BFS from the points next to it (see ``_region_distances``).  Callers
+    that read only the region, as ``interior`` and ``barycentric_map`` do,
+    read the BFS distances in place instead.
     """
     n = cover.n_points
     inside = _check_points(region, n)
-    if 2 * len(inside) > n:
-        return cover.chain.distances_from(y for y in range(n) if y not in inside)
-    dist = cover.chain.distances_from(_grow(inside, cover) - inside, within=inside)
+    dist = _region_distances(cover, inside)
     index: list[int | None] = [0] * n
     for x in inside:
         index[x] = dist[x]
@@ -388,12 +410,14 @@ def interior(cover: Cover, region: Iterable[int], k: int,
              index: list[int | None] | None = None) -> frozenset[int]:
     """The points of ``region`` whose k-fold star stays inside it: chain index above k.
 
-    ``index`` may pass in ``chain_indices(cover, region)`` when the caller has it.
+    Only the region's entries of ``index`` are read, so a caller that has a
+    list whose entries on the region are its chain indices may pass it in;
+    without one, a BFS from the points next to the region gives it.
     """
     _check_int(k, 0, "k")
     inside = _check_points(region, cover.n_points)
     if index is None:
-        index = chain_indices(cover, inside)
+        index = _region_distances(cover, inside)
     return frozenset(x for x in inside if index[x] is None or index[x] > k)
 
 

@@ -14,7 +14,7 @@ from math import gcd, lcm
 
 from .covers import (_EXACT, BoundednessCertificate, Cover, _by_vertex, _check_int, _check_point,
                      _check_points, _check_rational, _check_same_points, _is_maximal, _maximal,
-                     chain_indices, is_uniformly_bounded)
+                     _region_distances, is_uniformly_bounded)
 from .errors import ConstructionError, InputError
 
 
@@ -26,6 +26,10 @@ class BarycentricPoint:
     is 1, so equal points have equal fields.  ``Fraction``s are built only
     where a caller asks for them (``weights``, ``weight``).  The constructor
     takes int or Fraction weights at int vertices.
+
+    A point is immutable: ``_set`` is the only writer of ``num`` and ``den``,
+    so the carrier is built once and kept, and one point object may stand
+    for the value of many points of a map.
     """
 
     __slots__ = ("num", "den", "_carrier")
@@ -204,7 +208,7 @@ def nerve(cover: Cover, d_cap: int) -> SimplicialComplex:
     set of one of the points, so the facets are exactly the maximal membership
     sets; intersections are checked exactly through them.
     """
-    facets = frozenset(_maximal(map(frozenset, cover.membership)))
+    facets = frozenset(_maximal(map(frozenset, dict.fromkeys(cover.membership))))
     return SimplicialComplex(tuple(range(len(cover.sets))), facets, d_cap)
 
 
@@ -216,11 +220,13 @@ class PartitionOfUnity:
     the constructor names the least point without a value.  When a target
     complex is attached, every carrier must be one of its simplices.
 
-    A map is immutable: ``values`` is not changed after construction.  So the
-    map keeps its star preimage cover, per cover what ``certify_pu`` measured
-    against it, per (metric, delta) what ``certify_delta_pu`` measured, and per
-    space the largest star preimage diameter with its witness, once they are
-    first built.
+    A map is immutable: ``values`` is not changed after construction, and
+    neither is a point, so several points may share one value object, as in
+    the maps of ``barycentric_map`` and ``filler``.  So the map keeps its star
+    preimage cover, per cover what ``certify_pu`` measured against it, per
+    (metric, delta) what ``certify_delta_pu`` measured, and per space the
+    largest star preimage diameter with its witness, once they are first
+    built.
     """
 
     values: dict[int, BarycentricPoint]
@@ -425,6 +431,10 @@ def barycentric_map(chain_cover: Cover, target_cover: Cover, d_cap: int | None =
     absorb all mass in equal shares and finite indices get zero.  The result
     carries the nerve (capped at the largest multiplicity by default) and its
     carriers are verified against it.
+
+    The chain indices are read one element at a time, in place from the BFS
+    distances.  Points with the same infinite part share one value object,
+    and points with equal carriers share one carrier frozenset.
     """
     _check_same_points(chain_cover, target_cover)
     n = chain_cover.n_points
@@ -433,18 +443,22 @@ def barycentric_map(chain_cover: Cover, target_cover: Cover, d_cap: int | None =
     # its infinite part
     own_indices: list[dict[int, int | None]] = [{} for _ in range(n)]
     for s, element in enumerate(target_cover.sets):
-        index = chain_indices(chain_cover, element)
+        index = _region_distances(chain_cover, element)
         for x in element:
             own_indices[x][s] = index[x]
     values: dict[int, BarycentricPoint] = {}
     carriers: dict[tuple[int, ...], frozenset[int]] = {}  # one frozenset per distinct carrier
+    uniform: dict[tuple[int, ...], BarycentricPoint] = {}  # one point per infinite part
     for x, ixs in enumerate(own_indices):
-        own = target_cover.membership[x]
         if None in ixs.values():
-            infinite = tuple(s for s, ix in ixs.items() if ix is None)
-            point = BarycentricPoint._from_ints(dict.fromkeys(infinite, 1), len(infinite))
-            own = infinite
+            own = tuple(s for s, ix in ixs.items() if ix is None)
+            point = uniform.get(own)
+            if point is not None:
+                values[x] = point
+                continue
+            point = uniform[own] = BarycentricPoint._from_ints(dict.fromkeys(own, 1), len(own))
         else:
+            own = target_cover.membership[x]
             total = sum(ixs.values())
             if total <= 0:
                 raise ConstructionError(f"point {x} has zero total index against a covering family")

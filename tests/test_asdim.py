@@ -1,6 +1,7 @@
 """Intersection-count certificates, the skeleton map, trimming, and the filler."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -50,7 +51,7 @@ from coarsedim import (
     trim_to_cover,
     variation,
 )
-from coarsedim import covers
+from coarsedim import asdim, covers, pou
 from coarsedim.asdim import _nearest_anchor
 from coarsedim.generators import random_cover
 from coarsedim.oracles import (iterated_star_bruteforce, nearest_source_all_pairs,
@@ -286,6 +287,23 @@ def test_trim_gate_witness_is_the_2_fold_star_that_fits_nowhere():
     with pytest.raises(PreconditionError, match=f"element {bad} fits") as info:
         trim_to_cover(pu, gauge, 1)
     assert info.value.witness == twice.sets[bad]
+
+
+def test_region_readers_never_build_the_public_index_list(monkeypatch):
+    # the nerve map, interiors, the star gate and the trim read BFS distances in place
+    def refuse(*args):
+        raise AssertionError("chain_indices was called")
+
+    for module in (covers, pou, asdim):
+        monkeypatch.setattr(module, "chain_indices", refuse, raising=False)
+    line = gen_line(200)
+    space = line.space
+    gauge = space.gauge
+    pu = build_skeleton_pu(space, gauge, line.blocks(50), 10, 1, 120).pu  # a barycentric map
+    assert interior(gauge, range(20, 60), 3) == frozenset(range(23, 57))
+    assert interior(gauge, range(150), 3) == frozenset(range(147))
+    assert star_misfit(gauge, 2, pu.star_preimage_cover()) is None
+    assert trim_to_cover(pu, gauge, 1).certificate.ok
 
 
 # --- parameter choice -----------------------------------------------------------------
@@ -718,6 +736,30 @@ def test_filler_gate_witness_is_the_least_k_fold_star_that_fits_nowhere():
     with pytest.raises(PreconditionError, match=f"element {bad} fits") as info:
         filler(space, const, range(200), space.gauge, narrow, params, 599)
     assert info.value.witness == bad
+
+
+def test_filler_relabels_each_nerve_map_value_once(monkeypatch):
+    line, space, params, coarse, base = _line_filler_instance(600, 1, 1)
+    nerve_maps, relabels = [], []
+    build_map, build_point = asdim.barycentric_map, BarycentricPoint._from_ints
+    monkeypatch.setattr(asdim, "barycentric_map", lambda *args: nerve_maps.append(
+        build_map(*args)) or nerve_maps[-1])
+
+    def from_ints(cls, num, den):
+        point = build_point(num, den)
+        if sys._getframe(1).f_code is filler.__code__:
+            relabels.append(point)
+        return point
+
+    monkeypatch.setattr(BarycentricPoint, "_from_ints", classmethod(from_ints))
+    result = filler(space, base.pu, range(200), space.gauge, coarse, params, 599)
+    (nerve_map,) = nerve_maps
+    shared = {id(bp) for bp in nerve_map.values.values()}
+    assert len(relabels) == len(shared) < 600
+    alpha = blend_alpha(range(200), params.m, space.gauge).values
+    # points where the blend takes the nerve map alone hold its relabel itself
+    kept = {id(result.pu.values[x]) for x in range(600) if alpha[x] == 0}
+    assert kept and kept <= {id(bp) for bp in relabels}
 
 
 @settings(max_examples=80, deadline=None)

@@ -455,27 +455,37 @@ def test_chain_indices_match_enumeration_oracle(n, seed):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 12), st.integers(0, 10_000), st.booleans(), st.booleans(),
-       st.sampled_from(["small", "large", "whole", "component"]))
-def test_chain_indices_match_enumeration_on_both_sides_of_half(n, seed, empties, connected, kind):
+@given(st.integers(1, 12), st.integers(0, 10_000), st.booleans(), st.booleans(), st.booleans(),
+       st.sampled_from(["empty", "small", "large", "whole", "component"]))
+def test_chain_indices_match_enumeration_on_both_sides_of_half(n, seed, empties, connected, wide,
+                                                               kind):
     rng = random.Random(seed)
     cover = varied_cover(rng, n, empties, rng.random() < 0.3)
     if connected:
         cover = Cover(cover.sets + random_cover(rng, n, connected=True).sets, n, empties)
-    if kind == "whole":
+    if kind == "empty":
+        region = frozenset()
+    elif kind == "whole":
         region = frozenset(range(n))
     elif kind == "component":  # a union of chain components: every index in it is infinite
         dist = cover.chain.distances_from([rng.randrange(n)])
         region = frozenset(x for x in range(n) if dist[x] is not None)
-    else:
-        size = rng.randrange(0, n // 2 + 1) if kind == "small" else rng.randrange(n // 2 + 1, n + 1)
+    else:  # at most half the space starts from the rim, more than half from the complement
+        size = rng.randint(1, max(1, n // 2)) if kind == "small" else rng.randint(n // 2 + 1, n)
         region = frozenset(rng.sample(range(n), size))
+    outside = sorted(set(range(n)) - region)
+    if wide and kind in ("small", "large") and outside:  # an element holding the region and more
+        cover = Cover(cover.sets + (region | {rng.choice(outside)},), n, empties)
     got = chain_indices(cover, region)
     want = [chain_index_by_enumeration(cover, x, region) for x in range(n)]
     assert [ExtNat(d) for d in got] == want
     assert all(d == 0 for x, d in enumerate(got) if x not in region)
     if kind in ("whole", "component"):
         assert all(got[x] is None for x in region)
+    # the distances that the region's readers take in place agree on the region
+    dist = covers._region_distances(cover, region)
+    assert len(dist) == n
+    assert all(ExtNat(dist[x]) == want[x] for x in region)
 
 
 def test_bounded_bfs_enters_only_the_given_set():

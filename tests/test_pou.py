@@ -399,6 +399,59 @@ def test_barycentric_map_matches_the_element_by_point_table(n, seed, connected, 
         assert carriers.setdefault(bp.carrier, bp.carrier) is bp.carrier
 
 
+def counted_from_ints(monkeypatch):
+    """Record the weights of every ``BarycentricPoint._from_ints`` call."""
+    calls = []
+    build = BarycentricPoint._from_ints
+    monkeypatch.setattr(BarycentricPoint, "_from_ints", classmethod(
+        lambda cls, num, den: calls.append(dict(num)) or build(num, den)))
+    return calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10_000), st.booleans())
+def test_points_with_one_infinite_part_share_one_value(n, seed, connected):
+    rng = random.Random(seed)
+    u = random_cover(rng, n, connected=connected)
+    sets = list(random_cover(rng, n).sets)
+    sets.insert(rng.randrange(len(sets) + 1), frozenset(range(n)))
+    v = Cover(tuple(sets), n)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = counted_from_ints(patch)
+        pu = barycentric_map(u, v)
+    # the whole-space element gives every point an infinite index
+    parts = {x: tuple(sorted(bp.num)) for x, bp in pu.values.items()}
+    assert all(bp.den == len(bp.num) for bp in pu.values.values())
+    assert len(calls) == len(set(parts.values()))
+    for x in range(n):
+        for y in range(x):
+            assert (pu.values[y] is pu.values[x]) == (parts[y] == parts[x])
+
+
+def test_a_whole_space_target_gives_every_point_one_object(monkeypatch):
+    line = gen_line(300)
+    target = Cover(line.staggered(20).sets + (frozenset(range(300)),), 300)
+    calls = counted_from_ints(monkeypatch)
+    pu = barycentric_map(line.space.gauge, target)
+    whole = len(target) - 1
+    assert calls == [{whole: 1}]
+    assert len({id(bp) for bp in pu.values.values()}) == 1
+    assert pu.values[0].carrier == frozenset({whole})
+
+
+def test_equal_points_hash_equal_however_they_are_built():
+    a = BarycentricPoint({0: F(1, 6), 3: F(1, 2), 7: F(1, 3)})
+    b = BarycentricPoint({7: F(2, 6), 0: F(1, 6), 3: F(3, 6)})
+    c = BarycentricPoint._from_ints({3: 9, 7: 6, 0: 3}, 18)
+    # 1/2 of (1/3, 1/3, 1/3) on {0, 3, 7} and 1/2 of (0, 2/3, 1/3): keys in another order
+    d = BarycentricPoint._from_ints({7: 1, 3: 1, 0: 1}, 3).blend(
+        BarycentricPoint._from_ints({7: 1, 3: 2}, 3), F(1, 2))
+    assert [list(p.num) for p in (a, b, c)] != [list(a.num)] * 3
+    for p in (b, c, d):
+        assert p == a and hash(p) == hash(a)
+    assert len({a, b, c, d}) == 1
+
+
 def test_barycentric_map_keeps_no_element_by_point_table():
     # the chain indices are read one element at a time, so the traced peak stays
     # near what the map keeps; an n-list per element would need several times that
