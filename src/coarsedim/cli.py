@@ -129,40 +129,36 @@ def _cert_doc(name: str, cert, extra=None) -> dict:
 # subcommand handlers
 
 def _cmd_gen(args) -> int:
-    written = []
+    # every file's text is built before any file is written, so an input error writes none
+    files = []
     if args.kind == "line":
         inst = gen_line(args.n)
         prefix = args.out_prefix or f"line{args.n}"
-        written.append(_write(f"{prefix}.space.txt", formats.dump_space(inst.space)))
+        files.append((f"{prefix}.space.txt", formats.dump_space(inst.space)))
         for h in args.staggered_half or []:
-            written.append(_write(f"{prefix}.staggered{h}.cover.txt",
-                                  formats.dump_cover(inst.staggered(h))))
+            files.append((f"{prefix}.staggered{h}.cover.txt",
+                          formats.dump_cover(inst.staggered(h))))
         for length in args.block_len or []:
-            written.append(_write(f"{prefix}.blocks{length}.cover.txt",
-                                  formats.dump_cover(inst.blocks(length))))
+            files.append((f"{prefix}.blocks{length}.cover.txt",
+                          formats.dump_cover(inst.blocks(length))))
     elif args.kind == "grid2d":
         inst = gen_grid2d(args.width, args.height)
         prefix = args.out_prefix or f"grid{args.width}x{args.height}"
-        written.append(_write(f"{prefix}.space.txt", formats.dump_space(inst.space)))
+        files.append((f"{prefix}.space.txt", formats.dump_space(inst.space)))
         for b in args.brick_len or []:
-            cover = inst.bricks(b)
-            written.append(_write(f"{prefix}.bricks{b}.cover.txt",
-                                  formats.dump_cover(cover)))
+            files.append((f"{prefix}.bricks{b}.cover.txt", formats.dump_cover(inst.bricks(b))))
     else:
         inst = gen_random_geometric(args.n, _finite("--radius", args.radius), args.seed)
         prefix = args.out_prefix or f"rg{args.n}s{args.seed}"
-        written.append(_write(f"{prefix}.space.txt", formats.dump_space(inst.space)))
-        written.append(_write(f"{prefix}.metric.txt", formats.dump_metric(inst.metric)))
-        connected = inst.space.chain.is_connected()
-        _emit({"generated": args.kind, "files": written, "chain_connected": connected}, None)
-        return 0
-    _emit({"generated": args.kind, "files": written}, None)
+        files.append((f"{prefix}.space.txt", formats.dump_space(inst.space)))
+        files.append((f"{prefix}.metric.txt", formats.dump_metric(inst.metric)))
+    for path, text in files:
+        Path(path).write_text(text)
+    doc = {"generated": args.kind, "files": [path for path, _ in files]}
+    if args.kind == "random-geometric":
+        doc["chain_connected"] = inst.space.chain.is_connected()
+    _emit(doc, None)
     return 0
-
-
-def _write(path: str, text: str) -> str:
-    Path(path).write_text(text)
-    return path
 
 
 def _cmd_phi(args) -> int:
@@ -278,6 +274,8 @@ def _cmd_filler(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.mode != "asdim-witness":
         # chain-index counts the points whose index disagrees, shrink the instances that fail
+        if args.instances < 1:
+            raise InputError(f"--instances {args.instances} is below 1")
         if args.max_points < 2:
             raise InputError(f"--max-points {args.max_points} is below 2")
         rng = random.Random(args.seed)
@@ -335,7 +333,7 @@ def _cmd_sweep(args) -> int:
     monotone = True
     bounded = True
     for k in _parse_k_range(args.k):
-        cover = ctx.line.staggered(2 * k + 1).normalize()
+        cover = ctx.line.staggered(2 * k + 1)
         if star_misfit(gauge, k, cover) is not None:
             raise ConstructionError(f"staggered witness at k={k} is not coarse enough")
         pu = barycentric_map(gauge, cover)

@@ -183,7 +183,7 @@ def load_metric(text: str) -> FiniteMetricSpace:
             raise InputError(f"unknown point in {ln!r}")
         if j < i:
             i, j = j, i
-        if i != j and (i, j) in given:
+        if (i, j) in given:
             raise InputError(f"second distance line for one pair: {ln!r}")
         given[i, j] = _fraction(num, den, ln)
     if len(given) - sum((i, i) in given for i in range(n)) != n * (n - 1) // 2:

@@ -191,8 +191,3 @@ def random_refinement_pair(rng, n_points: int) -> tuple[Cover, Cover]:
         coarse_sets.append(frozenset(s))
     return fine, Cover(tuple(coarse_sets), n_points)
 
-
-def random_fraction(rng, low: int, high: int, max_denominator: int = 16) -> Fraction:
-    den = rng.randrange(1, max_denominator + 1)
-    num = rng.randrange(low * den, high * den + 1)
-    return Fraction(num, den)

@@ -44,8 +44,9 @@ from coarsedim.formats import (
     load_pu,
     load_space,
 )
-from coarsedim.generators import random_cover, random_fraction, random_refinement_pair
+from coarsedim.generators import random_cover, random_refinement_pair
 from coarsedim.oracles import chain_index_by_enumeration, shrink_clause_violation
+from oracles import random_fraction
 
 F = Fraction
 

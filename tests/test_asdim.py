@@ -54,8 +54,7 @@ from coarsedim import (
 from coarsedim import asdim, covers, pou
 from coarsedim.asdim import _nearest_anchor
 from coarsedim.generators import random_cover
-from coarsedim.oracles import (iterated_star_bruteforce, nearest_source_all_pairs,
-                               star_set_bruteforce)
+from oracles import iterated_star_bruteforce, nearest_source_all_pairs, star_set_bruteforce
 
 F = Fraction
 

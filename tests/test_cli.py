@@ -1,6 +1,8 @@
 """Workbench CLI: subcommands, exit codes, emitted documents."""
 
+import ast
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coarsedim
-from coarsedim import FiniteMetricSpace, barycentric_map, gen_grid2d, gen_line
+from coarsedim import FiniteMetricSpace, barycentric_map, cli, gen_grid2d, gen_line, oracles
 from coarsedim.cli import main
 from coarsedim.formats import (doc_loads, dump_cover, dump_metric, dump_pu, dump_space,
                                load_cover, load_pu, load_space)
@@ -217,19 +219,46 @@ def test_duplicate_value_line_exits_two(tmp_path, capsys):
     assert "value 0 0 1 2" in doc["detail"]
 
 
-def test_cli_runs_as_module(tmp_path):
-    # The child runs in tmp_path, where a relative PYTHONPATH no longer
-    # points at the source tree; put the directory holding the package this
-    # suite imported first, so the child imports the same coarsedim.
+def _child_env() -> dict:
+    # A child run in tmp_path no longer finds the source tree through a
+    # relative PYTHONPATH; put the directory holding the package this suite
+    # imported first, so the child imports the same coarsedim.
     package_root = str(Path(coarsedim.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_runs_as_module(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "coarsedim.cli", "oracle", "chain-index",
          "--instances", "5", "--max-points", "5", "--seed", "1"],
-        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60)
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def _called_names(tree) -> set[str]:
+    return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute))}
+
+
+def test_library_oracles_are_only_what_the_cli_runs(tmp_path):
+    # the references that only tests call live in tests/oracles.py
+    public = {name for name, obj in vars(oracles).items()
+              if inspect.isfunction(obj) and obj.__module__ == oracles.__name__
+              and not name.startswith("_")}
+    assert public
+    calls = {name: _called_names(ast.parse(inspect.getsource(getattr(oracles, name))))
+             for name in public}
+    from_cli = _called_names(ast.parse(inspect.getsource(cli)))
+    for name in public:
+        callers = from_cli.union(*(calls[other] for other in public - {name}))
+        assert name in callers, f"coarsedim.oracles.{name} has no library caller"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, coarsedim; print('coarsedim.oracles' in sys.modules)"],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 PU = "partition-of-unity\npoints 2\nvertices 0 1\nvalue 0 0 1 1\nvalue 1 1 1 1\nend\n"
@@ -262,6 +291,12 @@ MISSING = None  # no file is written for this argument
                  "distance 0 1 1 1", id="metric-without-end"),
     pytest.param({"metric": METRIC.replace("end\n", "distance 1 0 2 1\nend\n"), "pu": PU},
                  "distance 1 0 2 1", id="metric-duplicate-pair"),
+    pytest.param({"metric": METRIC.replace("end\n", "distance 0 0 5 1\ndistance 0 0 0 1\nend\n"),
+                  "pu": PU}, "second distance line for one pair: 'distance 0 0 0 1'",
+                 id="metric-repeated-diagonal-zero-last"),
+    pytest.param({"metric": METRIC.replace("end\n", "distance 0 0 0 1\ndistance 0 0 5 1\nend\n"),
+                  "pu": PU}, "second distance line for one pair: 'distance 0 0 5 1'",
+                 id="metric-repeated-diagonal-zero-first"),
     pytest.param({"metric": "metric-space\npoints 3\ndistance 0 1 1 1\ndistance 1 2 1 1\nend\n",
                   "pu": PU.replace("points 2", "points 3").replace("end", "value 2 1 1 1\nend")},
                  "pair (0, 2)", id="metric-missing-pair"),
@@ -320,6 +355,18 @@ def test_malformed_fraction_argument_exits_two(capsys):
                  "--max-points 1", id="oracle-chain-index-one-point"),
     pytest.param(["oracle", "shrink", "--instances", "3", "--max-points", "1"],
                  "--max-points 1", id="oracle-shrink-one-point"),
+    pytest.param(["oracle", "chain-index", "--instances", "-5"], "--instances -5",
+                 id="oracle-chain-index-negative-instances"),
+    pytest.param(["oracle", "chain-index", "--instances", "0"], "--instances 0",
+                 id="oracle-chain-index-no-instances"),
+    pytest.param(["oracle", "shrink", "--instances", "0"], "--instances 0",
+                 id="oracle-shrink-no-instances"),
+    pytest.param(["gen", "line", "--n", "10", "--staggered-half", "0"], "half = 0",
+                 id="gen-line-staggered-half-zero"),
+    pytest.param(["gen", "line", "--n", "10", "--staggered-half", "2", "--block-len", "0"],
+                 "length = 0", id="gen-line-block-len-zero"),
+    pytest.param(["gen", "grid2d", "--width", "4", "--height", "4", "--brick-len", "0"],
+                 "brick = 0", id="gen-grid-brick-len-zero"),
     pytest.param(["phi", "--space", "line20", "--cover", "st:abc"], "'st:abc'",
                  id="cover-st-not-a-number"),
     pytest.param(["phi", "--space", "line20", "--cover", "blocks:x"], "'blocks:x'",
@@ -383,6 +430,7 @@ def test_bad_argument_exits_two_quoting_it(tmp_path, monkeypatch, capsys, argv, 
     assert doc["error"] == "InputError"
     assert quote in doc["detail"]
     assert "Traceback" not in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["pu.txt"]
 
 
 def test_help_still_exits_zero(capsys):

@@ -39,14 +39,16 @@ from coarsedim.covers import ChainGraph, diameter_in_graph
 from coarsedim.formats import load_cover
 from coarsedim.generators import random_cover, random_refinement_pair
 from coarsedim.oracles import (
-    chain_diameter_all_pairs,
     chain_graph_by_elements,
     chain_index_by_enumeration,
+    shrink_clause_violation,
+)
+from oracles import (
+    chain_diameter_all_pairs,
     chain_index_by_paths,
     iterated_star_bruteforce,
     normalize_pairwise,
     refinement_by_scan,
-    shrink_clause_violation,
     star_set_bruteforce,
 )
 

@@ -39,7 +39,7 @@ from coarsedim.formats import (
     parse_fraction,
 )
 from coarsedim.generators import random_cover
-from coarsedim.oracles import dump_metric_fractions, dump_pu_fractions
+from oracles import dump_metric_fractions, dump_pu_fractions
 
 F = Fraction
 

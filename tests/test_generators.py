@@ -38,11 +38,13 @@ def test_line_staggered_element_count():
 
 
 def test_line_staggered_last_interval_is_clipped_not_contained():
-    for n in (37, 50, 61, 200, 1999):
-        for half in (3, 7, 25):
-            v = gen_line(n).staggered(half)
-            assert v.normalize() == v  # no duplicate or contained elements
-            assert v.max_multiplicity() <= 2
+    # the sweep uses staggered covers as they come, without normalize()
+    cases = [(n, half) for n in range(2, 130) for half in range(1, n + 1)]
+    cases += [(n, half) for n in (200, 1999) for half in (3, 7, 25)]
+    for n, half in cases:
+        v = gen_line(n).staggered(half)
+        assert v.normalize() == v  # no duplicate or contained elements
+        assert v.max_multiplicity() <= 2
 
 
 def test_line_blocks():

@@ -29,17 +29,18 @@ from coarsedim import (
 )
 from coarsedim import metric as metric_module
 from coarsedim.formats import doc_dumps, dump_pu, load_pu
-from coarsedim.generators import random_cover, random_fraction, random_refinement_pair
-from coarsedim.oracles import (
+from coarsedim.generators import random_cover, random_refinement_pair
+from coarsedim.pou import _l1_ratio
+from oracles import (
     ball_cover_fractions,
     delta_pair_scan_fractions,
     l1_distance_fractions,
     lebesgue_pair_fractions,
+    random_fraction,
     set_diameter_fractions,
     triangle_violation_fractions,
     variation_all_pairs,
 )
-from coarsedim.pou import _l1_ratio
 
 F = Fraction
 

@@ -35,11 +35,12 @@ from coarsedim import (
 )
 from coarsedim import pou
 from coarsedim.formats import doc_dumps, load_pu
-from coarsedim.generators import random_cover, random_fraction, random_refinement_pair
-from coarsedim.oracles import (
-    chain_index_by_enumeration,
+from coarsedim.generators import random_cover, random_refinement_pair
+from coarsedim.oracles import chain_index_by_enumeration
+from oracles import (
     coarsening_by_points,
     nerve_simplices_bruteforce,
+    random_fraction,
     variation_all_pairs,
 )
 
