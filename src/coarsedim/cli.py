@@ -11,6 +11,7 @@ import argparse
 import random
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -28,8 +29,6 @@ from .asdim import (
 from .covers import Cover, FiniteCoarseSpace, chain_index, iterated_star, star_misfit
 from .errors import ConstructionError, InputError, PreconditionError
 from .generators import (
-    GridInstance,
-    LineInstance,
     gen_grid2d,
     gen_line,
     gen_random_geometric,
@@ -39,54 +38,69 @@ from .generators import (
 from .metric import FiniteMetricSpace, certify_delta_pu
 from .pou import barycentric_map, certify_pu, variation
 
-LINE_RE = re.compile(r"^line(\d+)$")
-GRID_RE = re.compile(r"^grid(\d+)x(\d+)$")
+
+@dataclass(frozen=True)
+class Family:
+    """A generated space family, as the CLI reads it."""
+
+    build: Callable  # the spec's numbers -> an instance with a .space
+    covers: dict[str, str]  # named cover -> its gen flag; the instance's method builds it
+    witness: Callable[[int], str]  # the default witness at scale k
 
 
-@dataclass
-class SpaceContext:
-    space: FiniteCoarseSpace
-    line: LineInstance | None = None
-    grid: GridInstance | None = None
+# Keyed by spec: each {field} is a number, and a flag of the builder's gen subcommand.
+LINE = "line{n}"
+FAMILIES = {
+    LINE: Family(gen_line, {"staggered": "--staggered-half", "blocks": "--block-len"},
+                 lambda k: f"blocks:{4 * k + 10}"),
+    "grid{width}x{height}": Family(gen_grid2d, {"bricks": "--brick-len"},
+                                   lambda k: f"bricks:{8 * k + 4}"),
+}
 
 
-def _load_space_arg(arg: str) -> SpaceContext:
-    m = LINE_RE.match(arg)
-    if m:
-        inst = gen_line(int(m.group(1)))
-        return SpaceContext(inst.space, line=inst)
-    m = GRID_RE.match(arg)
-    if m:
-        inst = gen_grid2d(int(m.group(1)), int(m.group(2)))
-        return SpaceContext(inst.space, grid=inst)
+def _spec_fields(spec: str) -> list[str]:
+    return re.findall(r"\{(\w+)\}", spec)
+
+
+def _spec_name(spec: str) -> str:
+    """The spec as the messages write it: line{n} is lineN, grid{width}x{height} gridWxH."""
+    return re.sub(r"\{(\w)\w*\}", lambda m: m[1].upper(), spec)
+
+
+def _spec_numbers(spec: str, arg: str) -> list[int] | None:
+    m = re.match("^" + re.sub(r"\{\w+\}", r"(\\d+)", spec) + "$", arg)
+    return m and [int(g) for g in m.groups()]
+
+
+def _load_space_arg(arg: str) -> tuple[FiniteCoarseSpace, Family | None, object]:
+    """The space an argument names, with its family row and instance (None for a file)."""
+    for spec, family in FAMILIES.items():
+        numbers = _spec_numbers(spec, arg)
+        if numbers:
+            inst = family.build(*numbers)
+            return inst.space, family, inst
     path = Path(arg)
     if not path.exists():
-        raise InputError(f"space {arg!r} is neither a spec (lineN, gridWxH) nor a file")
-    return SpaceContext(formats.load_space(path.read_text()))
+        specs = ", ".join(map(_spec_name, FAMILIES))
+        raise InputError(f"space {arg!r} is neither a spec ({specs}) nor a file")
+    return formats.load_space(path.read_text()), None, None
 
 
-def _load_cover_arg(arg: str, ctx: SpaceContext) -> Cover:
+def _load_cover_arg(arg: str, space: FiniteCoarseSpace, family: Family | None, inst) -> Cover:
     if arg == "gauge":
-        return ctx.space.gauge
+        return space.gauge
     head, _, tail = arg.partition(":")
-    if head in ("st", "staggered", "blocks", "bricks") and tail:
+    owner = next((spec for spec, row in FAMILIES.items() if head in row.covers), None)
+    if (head == "st" or owner) and tail:
         try:
             size = int(tail)
         except ValueError:
             raise InputError(f"cover {arg!r} needs an integer after {head + ':'!r}") from None
         if head == "st":
-            return iterated_star(ctx.space.gauge, size)
-        if head == "staggered":
-            if ctx.line is None:
-                raise InputError("staggered covers need a line space")
-            return ctx.line.staggered(size)
-        if head == "blocks":
-            if ctx.line is None:
-                raise InputError("block covers need a line space")
-            return ctx.line.blocks(size)
-        if ctx.grid is None:
-            raise InputError("brick covers need a grid space")
-        return ctx.grid.bricks(size)
+            return iterated_star(space.gauge, size)
+        if family is not FAMILIES[owner]:
+            raise InputError(f"cover {arg!r} needs a {_spec_name(owner)} space spec")
+        return getattr(inst, head)(size)
     path = Path(arg)
     if not path.exists():
         raise InputError(f"cover {arg!r} is neither a shorthand nor a file")
@@ -94,12 +108,12 @@ def _load_cover_arg(arg: str, ctx: SpaceContext) -> Cover:
 
 
 def _load_metric_arg(arg: str) -> FiniteMetricSpace:
-    m = LINE_RE.match(arg)
-    if m:
-        return FiniteMetricSpace.line(int(m.group(1)))
+    numbers = _spec_numbers(LINE, arg)
+    if numbers:
+        return FiniteMetricSpace.line(*numbers)
     path = Path(arg)
     if not path.exists():
-        raise InputError(f"metric {arg!r} is neither lineN nor a file")
+        raise InputError(f"metric {arg!r} is neither {_spec_name(LINE)} nor a file")
     return formats.load_metric(path.read_text())
 
 
@@ -130,28 +144,22 @@ def _cert_doc(name: str, cert, extra=None) -> dict:
 
 def _cmd_gen(args) -> int:
     # every file's text is built before any file is written, so an input error writes none
-    files = []
-    if args.kind == "line":
-        inst = gen_line(args.n)
-        prefix = args.out_prefix or f"line{args.n}"
-        files.append((f"{prefix}.space.txt", formats.dump_space(inst.space)))
-        for h in args.staggered_half or []:
-            files.append((f"{prefix}.staggered{h}.cover.txt",
-                          formats.dump_cover(inst.staggered(h))))
-        for length in args.block_len or []:
-            files.append((f"{prefix}.blocks{length}.cover.txt",
-                          formats.dump_cover(inst.blocks(length))))
-    elif args.kind == "grid2d":
-        inst = gen_grid2d(args.width, args.height)
-        prefix = args.out_prefix or f"grid{args.width}x{args.height}"
-        files.append((f"{prefix}.space.txt", formats.dump_space(inst.space)))
-        for b in args.brick_len or []:
-            files.append((f"{prefix}.bricks{b}.cover.txt", formats.dump_cover(inst.bricks(b))))
-    else:
+    if args.kind == "random-geometric":
         inst = gen_random_geometric(args.n, _finite("--radius", args.radius), args.seed)
         prefix = args.out_prefix or f"rg{args.n}s{args.seed}"
-        files.append((f"{prefix}.space.txt", formats.dump_space(inst.space)))
-        files.append((f"{prefix}.metric.txt", formats.dump_metric(inst.metric)))
+        files = [(f"{prefix}.space.txt", formats.dump_space(inst.space)),
+                 (f"{prefix}.metric.txt", formats.dump_metric(inst.metric))]
+    else:
+        family = FAMILIES[args.spec]
+        numbers = {field: getattr(args, field) for field in _spec_fields(args.spec)}
+        inst = family.build(*numbers.values())
+        prefix = args.out_prefix or args.spec.format(**numbers)
+        files = [(f"{prefix}.space.txt", formats.dump_space(inst.space))]
+        for name, flag in family.covers.items():
+            # a size given twice is one file, listed once in first-seen order
+            for size in dict.fromkeys(getattr(args, flag[2:].replace("-", "_")) or []):
+                files.append((f"{prefix}.{name}{size}.cover.txt",
+                              formats.dump_cover(getattr(inst, name)(size))))
     for path, text in files:
         Path(path).write_text(text)
     doc = {"generated": args.kind, "files": [path for path, _ in files]}
@@ -162,9 +170,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    ctx = _load_space_arg(args.space)
-    target = _load_cover_arg(args.cover, ctx)
-    chains = _load_cover_arg(args.chains, ctx)
+    space, family, inst = _load_space_arg(args.space)
+    target = _load_cover_arg(args.cover, space, family, inst)
+    chains = _load_cover_arg(args.chains, space, family, inst)
     pu = barycentric_map(chains, target, d_cap=args.d_cap)
     if args.out_pu:
         Path(args.out_pu).write_text(formats.dump_pu(pu))
@@ -182,11 +190,11 @@ def _cmd_phi(args) -> int:
 
 def _cmd_certify(args) -> int:
     if args.mode == "pu":
-        ctx = _load_space_arg(args.space)
+        space, family, inst = _load_space_arg(args.space)
         pu = formats.load_pu(Path(args.pu).read_text())
-        cover = _load_cover_arg(args.cover, ctx)
+        cover = _load_cover_arg(args.cover, space, family, inst)
         eps = formats.parse_fraction(args.eps)
-        cert = certify_pu(pu, cover, ctx.space, eps, args.diam)
+        cert = certify_pu(pu, cover, space, eps, args.diam)
         _emit(_cert_doc("certify-pu", cert), args.out)
         return 0 if cert.ok else 1
     metric = _load_metric_arg(args.metric)
@@ -198,17 +206,19 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_asdim(args) -> int:
-    ctx = _load_space_arg(args.space)
+    space, family, inst = _load_space_arg(args.space)
     if args.mode == "check":
-        u = _load_cover_arg(args.cover_u, ctx)
-        v = _load_cover_arg(args.cover_v, ctx)
+        u = _load_cover_arg(args.cover_u, space, family, inst)
+        v = _load_cover_arg(args.cover_v, space, family, inst)
         cert = check_asdim_pair(u, v, args.n)
         _emit(_cert_doc("asdim-pair", cert), args.out)
         return 0 if cert.ok else 1
-    witness_arg = args.witness or _default_witness(ctx, args.k)
-    witness = _load_cover_arg(witness_arg, ctx)
-    gauge = ctx.space.gauge
-    result = build_skeleton_pu(ctx.space, gauge, witness, args.k, args.n, args.diam)
+    if not (args.witness or family):
+        raise InputError("a witness cover is required for file-based spaces")
+    witness_arg = args.witness or family.witness(args.k)
+    witness = _load_cover_arg(witness_arg, space, family, inst)
+    gauge = space.gauge
+    result = build_skeleton_pu(space, gauge, witness, args.k, args.n, args.diam)
     if args.mode == "skeleton":
         if args.out_pu:
             Path(args.out_pu).write_text(formats.dump_pu(result.pu))
@@ -218,7 +228,7 @@ def _cmd_asdim(args) -> int:
               args.out)
         return 0 if result.certificate.ok else 1
     # round trip: witness -> certified map -> trimmed witness
-    wide = certify_pu(result.pu, iterated_star(gauge, 2), ctx.space, None, args.diam)
+    wide = certify_pu(result.pu, iterated_star(gauge, 2), space, None, args.diam)
     trim = trim_to_cover(result.pu, gauge, args.n)
     ok = result.certificate.ok and wide.ok and trim.certificate.ok
     _emit({
@@ -232,26 +242,15 @@ def _cmd_asdim(args) -> int:
     return 0 if ok else 1
 
 
-def _default_witness(ctx: SpaceContext, k: int) -> str:
-    if ctx.line is not None:
-        return f"blocks:{4 * k + 10}"
-    if ctx.grid is not None:
-        return f"bricks:{8 * k + 4}"
-    raise InputError("a witness cover is required for file-based spaces")
-
-
 def _cmd_filler(args) -> int:
-    ctx = _load_space_arg(args.space)
-    if ctx.line is None:
+    space, family, line = _load_space_arg(args.space)
+    if family is not FAMILIES[LINE]:
         raise InputError("the filler pipeline is wired for line specs (lineN)")
-    n_points = ctx.space.n_points
     params = choose_filler_params(_finite("--eps", args.eps), args.n)
-    coarse = ctx.line.staggered(2 * params.k + 1)
-    blocks = ctx.line.blocks((n_points + 1) // 2 if args.n >= 1 else n_points)
-    base = build_skeleton_pu(ctx.space, coarse, blocks, 1, args.n, args.diam)
-    subset = range(args.a_end)
-    result = filler(ctx.space, base.pu, subset, ctx.space.gauge, coarse,
-                    params, args.diam)
+    coarse = line.staggered(2 * params.k + 1)
+    blocks = line.blocks((space.n_points + 1) // 2 if args.n >= 1 else space.n_points)
+    base = build_skeleton_pu(space, coarse, blocks, 1, args.n, args.diam)
+    result = filler(space, base.pu, range(args.a_end), space.gauge, coarse, params, args.diam)
     if args.out_pu:
         Path(args.out_pu).write_text(formats.dump_pu(result.pu))
     doc = {
@@ -296,9 +295,9 @@ def _cmd_oracle(args) -> int:
         _emit({"oracle": args.mode, "instances": args.instances, key: count, "ok": count == 0},
               args.out)
         return 0 if count == 0 else 1
-    ctx = _load_space_arg(args.space)
-    cover = _load_cover_arg(args.cover, ctx)
-    witness = find_witness_bruteforce(ctx.space, cover, args.n, args.diam)
+    space, family, inst = _load_space_arg(args.space)
+    cover = _load_cover_arg(args.cover, space, family, inst)
+    witness = find_witness_bruteforce(space, cover, args.n, args.diam)
     if witness is None:
         _emit({"oracle": "asdim-witness", "found": False,
                "note": "no witness within the ball family and budget; "
@@ -324,16 +323,16 @@ def _parse_k_range(text: str) -> range:
 
 
 def _cmd_sweep(args) -> int:
-    ctx = _load_space_arg(args.space)
-    if ctx.line is None:
+    space, family, line = _load_space_arg(args.space)
+    if family is not FAMILIES[LINE]:
         raise InputError("the sweep is wired for line specs (lineN)")
-    gauge = ctx.space.gauge
+    gauge = space.gauge
     rows = []
     previous = None
     monotone = True
     bounded = True
     for k in _parse_k_range(args.k):
-        cover = ctx.line.staggered(2 * k + 1)
+        cover = line.staggered(2 * k + 1)
         if star_misfit(gauge, k, cover) is not None:
             raise ConstructionError(f"staggered witness at k={k} is not coarse enough")
         pu = barycentric_map(gauge, cover)
@@ -380,16 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit space and cover files")
     gsub = p.add_subparsers(dest="kind", required=True)
-    g = gsub.add_parser("line")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--staggered-half", type=int, action="append")
-    g.add_argument("--block-len", type=int, action="append")
-    g.add_argument("--out-prefix")
-    g = gsub.add_parser("grid2d")
-    g.add_argument("--width", type=int, required=True)
-    g.add_argument("--height", type=int, required=True)
-    g.add_argument("--brick-len", type=int, action="append")
-    g.add_argument("--out-prefix")
+    for spec, family in FAMILIES.items():
+        # the subcommand is named after the builder: gen_line writes `gen line`
+        g = gsub.add_parser(family.build.__name__.removeprefix("gen_"))
+        g.set_defaults(spec=spec)
+        for field in _spec_fields(spec):
+            g.add_argument(f"--{field}", type=int, required=True)
+        for flag in family.covers.values():
+            g.add_argument(flag, type=int, action="append")
+        g.add_argument("--out-prefix")
     g = gsub.add_parser("random-geometric")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--radius", required=True)

@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -38,9 +39,25 @@ def test_gen_line_writes_space_and_covers(tmp_path, capsys, monkeypatch):
     assert code == 0
     space = load_space((tmp_path / "line200.space.txt").read_text())
     assert space.n_points == 200
-    cover = load_cover((tmp_path / "line200.staggered25.cover.txt").read_text())
-    assert len(cover.sets) == 7
-    assert "line200.blocks50.cover.txt" in doc["files"][2]
+    assert doc == {"generated": "line", "files": ["line200.space.txt",
+                                                  "line200.staggered25.cover.txt",
+                                                  "line200.blocks50.cover.txt"]}
+    inst = gen_line(200)
+    staggered = load_cover((tmp_path / "line200.staggered25.cover.txt").read_text())
+    assert len(staggered.sets) == 7
+    assert staggered == inst.staggered(25)
+    assert load_cover((tmp_path / "line200.blocks50.cover.txt").read_text()) == inst.blocks(50)
+
+
+def test_gen_writes_a_repeated_size_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, doc = run_cli(capsys, "gen", "line", "--n", "20", "--staggered-half", "3",
+                        "--block-len", "5", "--staggered-half", "4", "--staggered-half", "3")
+    assert code == 0
+    files = ["line20.space.txt", "line20.staggered3.cover.txt", "line20.staggered4.cover.txt",
+             "line20.blocks5.cover.txt"]
+    assert doc == {"generated": "line", "files": files}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 def test_gen_grid2d_writes_files_that_load_back(tmp_path, capsys, monkeypatch):
@@ -111,6 +128,7 @@ def test_asdim_roundtrip_on_grid(capsys):
                         "--n", "2", "--k", "2", "--diam", "80")
     assert code == 0
     assert doc["ok"] is True
+    assert doc["witness"] == "bricks:20"  # the default witness, 8k + 4
 
 
 def test_asdim_skeleton_writes_a_map_that_loads_back_and_certifies(tmp_path, capsys):
@@ -204,6 +222,45 @@ def test_input_errors_exit_two(capsys):
                         "--witness", "blocks:5", "--n", "1", "--k", "11", "--diam", "60")
     assert code == 2
     assert doc["error"] == "PreconditionError"
+
+
+def test_file_space_needs_a_witness_and_a_spec_for_named_covers(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "line", "--n", "20"]) == 0
+    capsys.readouterr()
+    code, doc = run_cli(capsys, "asdim", "skeleton", "--space", "line20.space.txt",
+                        "--k", "1", "--n", "1", "--diam", "19")
+    assert code == 2
+    assert doc == {"error": "InputError",
+                   "detail": "a witness cover is required for file-based spaces"}
+    code, doc = run_cli(capsys, "phi", "--space", "line20.space.txt", "--cover", "staggered:3")
+    assert code == 2
+    # the file is a line, but named covers are built from a spec
+    assert doc == {"error": "InputError",
+                   "detail": "cover 'staggered:3' needs a lineN space spec"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["line20.space.txt"]
+
+
+@pytest.mark.parametrize("spec", list(cli.FAMILIES))
+def test_each_family_builds_its_named_covers_and_refuses_the_others(capsys, spec):
+    # every builder takes sizes from 2 up, so the smallest spec has a 2 in each field
+    smallest = re.sub(r"\{\w+\}", "2", spec)
+    family = cli.FAMILIES[spec]
+    inst = family.build(*[2] * spec.count("{"))
+    for name in family.covers:
+        code, doc = run_cli(capsys, "phi", "--space", smallest, "--cover", f"{name}:2")
+        assert code == 0
+        assert doc["points"] == inst.space.n_points
+        loaded = cli._load_space_arg(smallest)
+        assert cli._load_cover_arg(f"{name}:2", *loaded) == getattr(inst, name)(2)
+    others = [(other, name) for other, row in cli.FAMILIES.items() if other != spec
+              for name in row.covers]
+    assert others
+    for other, name in others:
+        code, doc = run_cli(capsys, "phi", "--space", smallest, "--cover", f"{name}:2")
+        assert code == 2
+        assert doc == {"error": "InputError",
+                       "detail": f"cover '{name}:2' needs a {cli._spec_name(other)} space spec"}
 
 
 def test_duplicate_value_line_exits_two(tmp_path, capsys):
@@ -377,6 +434,17 @@ def test_malformed_fraction_argument_exits_two(capsys):
                  id="cover-bricks-not-a-number"),
     pytest.param(["phi", "--space", "line20", "--cover", "gauge", "--chains", "st:2x"], "'st:2x'",
                  id="chains-st-not-a-number"),
+    pytest.param(["phi", "--space", "line20", "--cover", "bricks:3"],
+                 "cover 'bricks:3' needs a gridWxH space spec", id="cover-bricks-on-a-line"),
+    pytest.param(["phi", "--space", "grid8x8", "--cover", "staggered:3"],
+                 "cover 'staggered:3' needs a lineN space spec", id="cover-staggered-on-a-grid"),
+    pytest.param(["phi", "--space", "grid8x8", "--cover", "blocks:3"],
+                 "cover 'blocks:3' needs a lineN space spec", id="cover-blocks-on-a-grid"),
+    pytest.param(["sweep", "--space", "grid4x4", "--k", "1"],
+                 "the sweep is wired for line specs (lineN)", id="sweep-on-a-grid"),
+    pytest.param(["filler", "--space", "grid4x4", "--n", "1", "--eps", "1", "--a-end", "5",
+                  "--diam", "15"], "the filler pipeline is wired for line specs (lineN)",
+                 id="filler-on-a-grid"),
     pytest.param(["certify", "delta", "--metric", "line2", "--pu", "pu.txt", "--delta", "inf",
                   "--diam", "1"], "--delta 'inf'", id="certify-delta-infinite-delta"),
     pytest.param(["certify", "delta", "--metric", "line2", "--pu", "pu.txt", "--delta", "1",
