@@ -68,7 +68,7 @@ def _spec_name(spec: str) -> str:
 
 
 def _spec_numbers(spec: str, arg: str) -> list[int] | None:
-    m = re.match("^" + re.sub(r"\{\w+\}", r"(\\d+)", spec) + "$", arg)
+    m = re.fullmatch(re.sub(r"\{\w+\}", "([0-9]+)", spec), arg)
     return m and [int(g) for g in m.groups()]
 
 
@@ -93,8 +93,8 @@ def _load_cover_arg(arg: str, space: FiniteCoarseSpace, family: Family | None, i
     owner = next((spec for spec, row in FAMILIES.items() if head in row.covers), None)
     if (head == "st" or owner) and tail:
         try:
-            size = int(tail)
-        except ValueError:
+            size, = formats._ints([tail], arg)
+        except InputError:
             raise InputError(f"cover {arg!r} needs an integer after {head + ':'!r}") from None
         if head == "st":
             return iterated_star(space.gauge, size)
@@ -314,9 +314,10 @@ def _cmd_oracle(args) -> int:
 def _parse_k_range(text: str) -> range:
     lo, dots, hi = text.partition("..")
     try:
-        ks = range(int(lo), int(hi if dots else lo) + 1)
-    except ValueError:
+        lo, hi = formats._ints([lo, hi if dots else lo], text)
+    except InputError:
         raise InputError(f"--k {text!r} is neither an integer nor a range like 1..64") from None
+    ks = range(lo, hi + 1)
     if not ks or ks[0] < 1:
         raise InputError(f"--k {text!r} must name scales k >= 1, low end first")
     return ks

@@ -76,6 +76,12 @@ class Cover:
         """The chain graph of this cover, built on first use."""
         return chain_graph(self)
 
+    @cached_property
+    def _largest(self) -> dict:
+        """Per space value, the largest element diameter ``is_uniformly_bounded``
+        measured in it and the least index attaining it."""
+        return {}
+
     def multiplicity(self, x: int) -> int:
         """Number of elements containing x (duplicates counted per index)."""
         _check_point(x, self.n_points)
@@ -509,29 +515,6 @@ class BoundednessCertificate:
     witness: int | None
     ok: bool
 
-    @classmethod
-    def decide(cls, bound, max_diameter, witness) -> "BoundednessCertificate":
-        """The certificate of a largest diameter and its witness against ``bound``,
-        an int or a Fraction of at least 0, kept as it was given."""
-        _check_rational(bound, 0, "bound", strict=False)
-        return cls(bound, max_diameter, witness, max_diameter <= bound)
-
-
-def _largest_diameter(cover: Cover, space) -> tuple[object, int | None]:
-    """The largest ``space.set_diameter`` of an element and the least index attaining
-    it; the empty set's diameter and None when no element is larger."""
-    _check_same_points(cover, space)
-    worst = space.set_diameter(())
-    worst_set = None
-    for s in dict.fromkeys(cover.sets):  # each distinct set once, by its least index
-        d = space.set_diameter(s)
-        if worst < d:
-            worst = d
-            worst_set = s
-        if d == INFINITY:  # nothing exceeds it
-            break
-    return worst, None if worst_set is None else cover.sets.index(worst_set)
-
 
 def is_uniformly_bounded(cover: Cover, space, bound) -> BoundednessCertificate:
     """Check every element has diameter <= bound, as measured by ``space.set_diameter``.
@@ -539,13 +522,29 @@ def is_uniformly_bounded(cover: Cover, space, bound) -> BoundednessCertificate:
     A coarse space measures chain diameter in its gauge (an ExtNat), a metric
     space measures metric diameter (a Fraction).  The bound is an int or a
     Fraction of at least 0, kept in the certificate as it was given, and is
-    refused before any diameter is measured.  The certificate's largest
-    diameter and witness do not depend on the bound, so a caller that keeps
-    them may decide another bound with ``BoundednessCertificate.decide``, as
-    ``certify_pu`` and ``certify_delta_pu`` do per map and space.
+    refused before any diameter is read.  The largest diameter and its witness
+    do not depend on the bound, so the cover keeps them per space value: a
+    later call on this cover object with an equal space decides its bound on
+    them, as ``certify_pu`` and ``certify_delta_pu`` do on a map's kept star
+    preimage cover.  An equal cover built anew measures again.
     """
     _check_rational(bound, 0, "bound", strict=False)
-    return BoundednessCertificate.decide(bound, *_largest_diameter(cover, space))
+    _check_same_points(cover, space)
+    kept = cover._largest.get(space)
+    if kept is None:
+        worst = space.set_diameter(())
+        worst_set = None
+        for s in dict.fromkeys(cover.sets):  # each distinct set once, by its least index
+            d = space.set_diameter(s)
+            if worst < d:
+                worst = d
+                worst_set = s
+            if d == INFINITY:  # nothing exceeds it
+                break
+        witness = None if worst_set is None else cover.sets.index(worst_set)
+        kept = cover._largest[space] = (worst, witness)
+    worst, witness = kept
+    return BoundednessCertificate(bound, worst, witness, worst <= bound)
 
 
 def shrink_with_multiplicity(fine: Cover, coarse: Cover) -> Cover:

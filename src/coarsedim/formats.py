@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -68,7 +69,7 @@ def doc_loads(text: str):
 
 
 def parse_fraction(text: str) -> Fraction | None:
-    """Parse 'p/q', an integer literal, or 'inf' (None)."""
+    """Parse 'p/q', an integer, or 'inf' (None); p, q and the integer are ``_ints`` tokens."""
     text = text.strip()
     if text == "inf":
         return None
@@ -212,11 +213,19 @@ def _read(text: str, kinds: tuple[str, ...], n_header: int) -> tuple[list[str], 
     return lines[:n_header], n, lines[n_header:lines.index("end", n_header)]
 
 
-def _ints(tokens, line: str) -> list[int]:
-    try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise InputError(f"non-integer token in {line!r}") from None
+_int_chars = re.compile(r"[0-9+-]*").fullmatch
+
+
+def _ints(tokens: list[str], line: str) -> list[int]:
+    """The one integer-token rule of text input: an optional sign, then ASCII digits 0-9.
+    On digits and signs alone ``int`` refuses just what the rule does, so a line costs
+    one regex test."""
+    if _int_chars("".join(tokens)):
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    raise InputError(f"non-integer token in {line!r}")
 
 
 def _fraction(num: int, den: int, line: str) -> Fraction:

@@ -10,7 +10,7 @@ from math import lcm
 from operator import add, itemgetter
 
 from .covers import (_EXACT, BoundednessCertificate, Cover, _check_int, _check_point,
-                     _check_points, _check_rational, _check_same_points)
+                     _check_points, _check_rational, _check_same_points, is_uniformly_bounded)
 from .errors import InputError, PreconditionError
 from .pou import (BarycentricPoint, PartitionOfUnity, PUCertificate, _l1_ratio, certify_pu,
                   l1_distance)
@@ -29,9 +29,9 @@ class FiniteMetricSpace:
 
     A space is immutable, so it also keeps the diameter of every point set
     ``set_diameter`` has measured, as ``FiniteCoarseSpace`` does; an equal
-    space built anew measures again.  It keeps its hash too: a map keys what
-    it measured against a metric by the metric's value, and hashing reads all
-    n^2 entries.
+    space built anew measures again.  It keeps its hash too: a map keys its
+    scans, and a cover its largest diameter, by the metric's value, and
+    hashing reads all n^2 entries.
     """
 
     n_points: int
@@ -193,9 +193,9 @@ def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
     Neither scan depends on ``diameter_bound``, so f runs them once per
     (metric value, delta) and keeps their results beside what ``certify_pu``
     keeps per cover; a second certificate at an equal metric and delta reads
-    them.  Nor do the star preimage diameters, which f measures once per
-    metric value, as ``certify_pu`` does per space; each certificate compares
-    the largest with its own bound.
+    them.  Nor do the star preimage diameters, which f's kept star preimage
+    cover measures once per metric value, as in ``certify_pu``; each
+    certificate compares the largest with its own bound.
     """
     delta = _check_rational(delta, 0, "delta")
     diameter_bound = _check_rational(diameter_bound, 0, "diameter_bound", strict=False)
@@ -205,7 +205,7 @@ def certify_delta_pu(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
     if scans is None:
         scans = f._measured[key] = _delta_scans(f, metric, delta)
     lip_ok, lip_pair, lip_value, lip_allowance, leb_pair = scans
-    bcert = f._star_preimages_bounded(metric, diameter_bound)
+    bcert = is_uniformly_bounded(f.star_preimage_cover(), metric, diameter_bound)
     return DeltaPUCertificate(
         delta=delta,
         lipschitz_ok=lip_ok,

@@ -223,10 +223,10 @@ class PartitionOfUnity:
     A map is immutable: ``values`` is not changed after construction, and
     neither is a point, so several points may share one value object, as in
     the maps of ``barycentric_map`` and ``filler``.  So the map keeps its star
-    preimage cover, per cover what ``certify_pu`` measured against it, per
-    (metric, delta) what ``certify_delta_pu`` measured, and per space the
-    largest star preimage diameter with its witness, once they are first
-    built.
+    preimage cover, per cover what ``certify_pu`` measured against it and per
+    (metric, delta) what ``certify_delta_pu`` measured, once they are first
+    built; the kept star preimage cover keeps its largest diameter per space
+    (see ``is_uniformly_bounded``).
     """
 
     values: dict[int, BarycentricPoint]
@@ -287,20 +287,8 @@ class PartitionOfUnity:
     @cached_property
     def _measured(self) -> dict:
         """Per cover value, the variation and the coarsening witnesses ``certify_pu``
-        found; per (metric value, delta), the scans ``certify_delta_pu`` ran; per
-        space value, the largest star preimage diameter and its witness."""
+        found; per (metric value, delta), the scans ``certify_delta_pu`` ran."""
         return {}
-
-    def _star_preimages_bounded(self, space, bound) -> BoundednessCertificate:
-        """``is_uniformly_bounded`` of the star preimage cover in ``space``, which
-        measures once per space value; later calls decide their own ``bound`` on
-        the kept diameter and witness, with the check a new call makes of it."""
-        kept = self._measured.get(space)
-        if kept is None:
-            cert = is_uniformly_bounded(self.star_preimage_cover(), space, bound)
-            self._measured[space] = (cert.max_diameter, cert.witness)
-            return cert
-        return BoundednessCertificate.decide(bound, *kept)
 
     def max_carrier_size(self) -> int:
         return max(len(bp.carrier) for bp in self.values.values())
@@ -531,9 +519,9 @@ def certify_pu(f: PartitionOfUnity, cover: Cover, space, eps: Fraction | None,
 
     Neither the variation nor the coarsening witnesses depend on ``eps``, so
     f measures them once per cover value and keeps them; a second certificate
-    against an equal cover only compares them with its ``eps``.  Likewise f
-    measures its star preimages once per space value, and each certificate
-    compares the kept largest diameter with its own ``diameter_bound``.
+    against an equal cover only compares them with its ``eps``.  Likewise f's
+    kept star preimage cover is measured once per space value, and each
+    certificate compares its largest diameter with its own ``diameter_bound``.
     """
     if eps is not None:
         eps = _check_rational(eps, 0, "eps")
@@ -544,7 +532,7 @@ def certify_pu(f: PartitionOfUnity, cover: Cover, space, eps: Fraction | None,
     var, witnesses, failing = measured
     var_ok = eps is None or var.value < eps
     coarsen_ok = failing is None
-    bcert = f._star_preimages_bounded(space, diameter_bound)
+    bcert = is_uniformly_bounded(f.star_preimage_cover(), space, diameter_bound)
     return PUCertificate(
         eps=eps,
         variation_value=var.value,

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coarsedim
-from coarsedim import FiniteMetricSpace, barycentric_map, cli, gen_grid2d, gen_line, oracles
+from coarsedim import (FiniteMetricSpace, VariationResult, barycentric_map, cli, gen_grid2d,
+                       gen_line, oracles)
 from coarsedim.cli import main
 from coarsedim.formats import (doc_loads, dump_cover, dump_metric, dump_pu, dump_space,
                                load_cover, load_pu, load_space)
@@ -199,6 +200,29 @@ def test_oracle_asdim_witness_writes_the_cover_it_found(tmp_path, capsys):
     assert doc["found"] is False
 
 
+@pytest.mark.parametrize("values, bounded, monotone", [
+    pytest.param([F(17), F(17)], False, True, id="above-bound"),
+    pytest.param([F(1, 2), F(1)], True, False, id="increasing"),
+])
+def test_sweep_exits_one_when_a_check_fails(capsys, monkeypatch, values, bounded, monotone):
+    measured = iter(values)
+    monkeypatch.setattr(cli, "variation",
+                        lambda f, cover: VariationResult(next(measured), None))
+    code, doc = run_cli(capsys, "sweep", "--space", "line40", "--k", "1..2")
+    assert code == 1
+    assert [row["variation"] for row in doc["rows"]] == values
+    assert (doc["all_within_bound"], doc["nonincreasing"], doc["ok"]) == (bounded, monotone,
+                                                                          False)
+
+
+def test_sweep_exits_two_when_a_witness_is_not_coarse_enough(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "star_misfit", lambda cover, k, coarse: 0)
+    code, doc = run_cli(capsys, "sweep", "--space", "line40", "--k", "1..2")
+    assert code == 2
+    assert doc == {"error": "ConstructionError",
+                   "detail": "staggered witness at k=1 is not coarse enough"}
+
+
 def test_sweep_emits_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, doc = run_cli(capsys, "sweep", "--space", "line200",
@@ -285,9 +309,10 @@ def _child_env() -> dict:
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
 
 
-def test_cli_runs_as_module(tmp_path):
+@pytest.mark.parametrize("module", ["coarsedim.cli", "coarsedim"])
+def test_cli_runs_as_module(tmp_path, module):
     proc = subprocess.run(
-        [sys.executable, "-m", "coarsedim.cli", "oracle", "chain-index",
+        [sys.executable, "-m", module, "oracle", "chain-index",
          "--instances", "5", "--max-points", "5", "--seed", "1"],
         capture_output=True, text=True, cwd=tmp_path, env=_child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -370,6 +395,14 @@ MISSING = None  # no file is written for this argument
                  "point count below 1 in 'points 0'", id="metric-zero-point-count"),
     pytest.param({"metric": METRIC.replace("points 2", "points -2"), "pu": PU},
                  "point count below 1 in 'points -2'", id="metric-negative-point-count"),
+    pytest.param({"space": "line2", "pu": PU.replace("points 2", "points 1_0")},
+                 "non-integer token in 'points 1_0'", id="points-with-underscore"),
+    pytest.param({"space": "coarse-space\npoints 2\ngauge 0 : 0 \u0661\nend\n", "pu": PU},
+                 "non-integer token in 'gauge 0 : 0 \u0661'", id="element-non-ascii-digit"),
+    pytest.param({"space": "line2", "pu": PU.replace("value 1 1 1 1", "value 1 1 \u0663 3")},
+                 "non-integer token in 'value 1 1 \u0663 3'", id="value-non-ascii-digit"),
+    pytest.param({"metric": METRIC.replace("0 1 1 1", "0 1 \u0661 1"), "pu": PU},
+                 "non-integer token in 'distance 0 1 \u0661 1'", id="distance-non-ascii-digit"),
     pytest.param({"space": "line2", "pu": MISSING}, "pu.txt", id="missing-pu"),
     pytest.param({"space": MISSING, "pu": PU}, "space.txt", id="missing-space"),
     pytest.param({"metric": MISSING, "pu": PU}, "metric.txt", id="missing-metric"),
@@ -408,6 +441,22 @@ def test_malformed_fraction_argument_exits_two(capsys):
     pytest.param(["sweep", "--space", "line40", "--k", "abc"], "'abc'", id="sweep-k-not-a-number"),
     pytest.param(["sweep", "--space", "line40", "--k", "5..2"], "'5..2'", id="sweep-k-reversed"),
     pytest.param(["sweep", "--space", "line40", "--k", "1.."], "'1..'", id="sweep-k-open-range"),
+    pytest.param(["sweep", "--space", "line40", "--k", "1_0"], "--k '1_0'",
+                 id="sweep-k-underscore"),
+    pytest.param(["phi", "--space", "line20\n", "--cover", "gauge"],
+                 "space 'line20\\n' is neither a spec (lineN, gridWxH) nor a file",
+                 id="space-spec-trailing-newline"),
+    pytest.param(["phi", "--space", "line\u0662\u0660", "--cover", "gauge"],
+                 "space 'line\u0662\u0660' is neither a spec (lineN, gridWxH) nor a file",
+                 id="space-spec-non-ascii-digits"),
+    pytest.param(["certify", "delta", "--metric", "line2\n", "--pu", "pu.txt", "--delta", "1",
+                  "--diam", "1"], "metric 'line2\\n' is neither lineN nor a file",
+                 id="metric-spec-trailing-newline"),
+    pytest.param(["certify", "pu", "--space", "line2", "--pu", "pu.txt", "--cover", "gauge",
+                  "--eps", "1_0", "--diam", "1"], "non-integer token in '1_0'",
+                 id="certify-pu-eps-underscore"),
+    pytest.param(["phi", "--space", "line20", "--cover", "st:1_0"], "'st:1_0'",
+                 id="cover-st-underscore"),
     pytest.param(["oracle", "chain-index", "--instances", "3", "--max-points", "1"],
                  "--max-points 1", id="oracle-chain-index-one-point"),
     pytest.param(["oracle", "shrink", "--instances", "3", "--max-points", "1"],

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from coarsedim import (
     BarycentricPoint,
+    BoundednessCertificate,
     Cover,
     ExtNat,
     FiniteCoarseSpace,
@@ -758,7 +759,8 @@ def test_diameter_bfs_reaches_few_points_of_a_large_grid(monkeypatch):
 
 def test_coarse_space_measures_each_set_once(bfs_calls):
     # a second certificate on the same space reads every diameter it measured;
-    # a new space over the same gauge measures them again
+    # a new space over the same gauge measures them again for a new equal cover,
+    # while the cover already measured reads its kept answer
     rng = random.Random(59)
     for _ in range(40):
         n = rng.randrange(1, 16)
@@ -776,6 +778,8 @@ def test_coarse_space_measures_each_set_once(bfs_calls):
         assert bfs_calls == []
         again = FiniteCoarseSpace(n, Cover(gauge.sets, n))
         assert is_uniformly_bounded(cover, again, bound) == first
+        assert bfs_calls == []
+        assert is_uniformly_bounded(Cover(cover.sets, n, allow_empty=True), again, bound) == first
         assert bool(bfs_calls) == any(len(s) > 1 for s in cover.sets)
 
 
@@ -788,6 +792,37 @@ def test_uniformly_bounded_measures_each_distinct_set_once(monkeypatch):
     short, long_ = frozenset(range(3)), frozenset(range(2, 10))
     cert = is_uniformly_bounded(Cover((short, long_, short, long_, short), 10), space, 5)
     assert (cert.max_diameter, cert.witness, cert.ok) == (7, 1, False)
+    assert calls == [frozenset(), short, long_]
+
+
+@pytest.mark.parametrize("space", [gen_line(10).space, FiniteMetricSpace.line(10)],
+                         ids=["chain", "metric"])
+def test_uniformly_bounded_keeps_its_answer_on_the_cover(monkeypatch, space):
+    calls = []
+    measure = type(space).set_diameter
+    monkeypatch.setattr(type(space), "set_diameter",
+                        lambda self, pts: calls.append(frozenset(pts)) or measure(self, pts))
+    short, long_ = frozenset(range(3)), frozenset(range(2, 10))
+    cover = Cover((short, long_, short), 10)
+    first = is_uniformly_bounded(cover, space, 5)
+    assert (first.max_diameter, first.witness, first.ok) == (7, 1, False)
+    assert calls == [frozenset(), short, long_]
+    calls.clear()
+    # another bound is decided on the kept answer
+    assert is_uniformly_bounded(cover, space, Fraction(7)) == BoundednessCertificate(
+        Fraction(7), first.max_diameter, 1, True)
+    # a bad bound is refused on the kept answer as on a cover never measured
+    for bad, message in ((-1, "bound = -1 is not >= 0"),
+                         (Fraction(-1, 3), "bound = -1/3 is not >= 0"),
+                         (True, "bound = True is not an int or Fraction"),
+                         (7.0, "bound = 7.0 is not an int or Fraction")):
+        for c in (cover, Cover(cover.sets, 10)):
+            with pytest.raises(InputError) as err:
+                is_uniformly_bounded(c, space, bad)
+            assert str(err.value) == message
+    assert not calls
+    # an equal cover built anew measures again
+    assert is_uniformly_bounded(Cover(cover.sets, 10), space, 5) == first
     assert calls == [frozenset(), short, long_]
 
 

@@ -498,7 +498,8 @@ def test_lipschitz_scan_skips_equal_values_and_pairs_past_the_bound(monkeypatch)
 
 def test_metric_measures_each_set_once(monkeypatch):
     # a second certificate on the same metric reads no rows; a new equal metric
-    # measures every set again
+    # measures every set again for a new equal cover, while the cover already
+    # measured reads its kept answer
     reads = []
     monkeypatch.setattr(metric_module, "itemgetter",
                         lambda *keys: reads.append(keys) or itemgetter(*keys))
@@ -520,6 +521,8 @@ def test_metric_measures_each_set_once(monkeypatch):
         again = FiniteMetricSpace.from_l1_points(coords)
         assert again == metric
         assert is_uniformly_bounded(cover, again, bound) == first
+        assert reads == []
+        assert is_uniformly_bounded(Cover(cover.sets, n, allow_empty=True), again, bound) == first
         assert bool(reads) == any(len(s) > 1 for s in cover.sets)
 
 
