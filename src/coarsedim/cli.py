@@ -133,7 +133,7 @@ def _emit(doc, out: str | None) -> None:
 
 
 def _cert_doc(name: str, cert, extra=None) -> dict:
-    doc = {"construction": name, "certificate": formats.encode(cert)}
+    doc = {"construction": name, "certificate": cert}
     if extra:
         doc.update(extra)
     return doc
@@ -224,7 +224,7 @@ def _cmd_asdim(args) -> int:
             Path(args.out_pu).write_text(formats.dump_pu(result.pu))
         _emit(_cert_doc("skeleton-map", result.certificate,
                         {"witness": witness_arg,
-                         "precondition": formats.encode(result.precondition)}),
+                         "precondition": result.precondition}),
               args.out)
         return 0 if result.certificate.ok else 1
     # round trip: witness -> certified map -> trimmed witness
@@ -234,9 +234,9 @@ def _cmd_asdim(args) -> int:
     _emit({
         "construction": "asdim-roundtrip",
         "witness": witness_arg,
-        "skeleton_certificate": formats.encode(result.certificate),
-        "wide_scale_certificate": formats.encode(wide),
-        "trimmed_counts": formats.encode(trim.certificate),
+        "skeleton_certificate": result.certificate,
+        "wide_scale_certificate": wide,
+        "trimmed_counts": trim.certificate,
         "ok": ok,
     }, args.out)
     return 0 if ok else 1
@@ -255,15 +255,15 @@ def _cmd_filler(args) -> int:
         Path(args.out_pu).write_text(formats.dump_pu(result.pu))
     doc = {
         "construction": "filler",
-        "params": formats.encode(params),
-        "input_certificate": formats.encode(result.input_certificate),
-        "certificate": formats.encode(result.certificate),
-        "budget": formats.encode(result.budget),
-        "measured_variation": formats.encode(result.measured_variation),
+        "params": params,
+        "input_certificate": result.input_certificate,
+        "certificate": result.certificate,
+        "budget": result.budget,
+        "measured_variation": result.measured_variation,
         "budget_ok": result.budget_ok,
-        "max_deviation_on_anchors": formats.encode(result.max_deviation_on_anchors),
+        "max_deviation_on_anchors": result.max_deviation_on_anchors,
         "max_carrier_size": result.max_carrier_size,
-        "min_peak_weight": formats.encode(result.min_peak_weight),
+        "min_peak_weight": result.min_peak_weight,
         "ok": result.certificate.ok and result.budget_ok,
     }
     _emit(doc, args.out)
@@ -352,8 +352,7 @@ def _cmd_sweep(args) -> int:
         Path(args.out).write_text("\n".join(lines) + "\n")
     doc = {
         "construction": "variation-sweep",
-        "rows": [{"k": k, "variation": formats.encode(v), "bound": formats.encode(b)}
-                 for k, v, b in rows],
+        "rows": [{"k": k, "variation": v, "bound": b} for k, v, b in rows],
         "all_within_bound": bounded,
         "nonincreasing": monotone,
         "ok": bounded and monotone,

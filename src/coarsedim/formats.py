@@ -24,26 +24,57 @@ FRACTION_TAG = "frac"
 EXTNAT_TAG = "extnat"
 TRIANGLE_CHECK_LIMIT = 150  # load_metric checks the triangle inequality up to this many points
 
+_string = json.encoder.encode_basestring_ascii
+_INT_ONLY = frozenset({int})
+_SEPARATORS = "\x0b\x0c\x1c\x1d\x1e\x1f"  # ASCII separators of split() and splitlines()
 
-def encode(value):
-    """Recursively convert a value into JSON-ready form with tagged rationals."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
+
+def _write(value, ind: str) -> str:
+    """``value`` as ``json.dumps`` writes a tagged document at indent ``ind``.
+
+    A ``Fraction`` and an ``ExtNat`` go out as their tagged blocks, a set is sorted, and
+    dict and dataclass items go out in sorted key order. Children are written in the
+    order they are found, so the first float or unknown type found is the one refused.
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _string(value)
+    inner = ind + " "
     if isinstance(value, Fraction):
-        return {FRACTION_TAG: [value.numerator, value.denominator]}
+        return (f'{{\n{inner}"{FRACTION_TAG}": [\n{inner} {value.numerator},\n'
+                f'{inner} {value.denominator}\n{inner}]\n{ind}}}')
     if isinstance(value, ExtNat):
-        return {EXTNAT_TAG: value.value if value.is_finite else "inf"}
-    if isinstance(value, (list, tuple)):
-        return [encode(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return [encode(v) for v in sorted(value)]
+        raw = value.value if value.is_finite else '"inf"'
+        return f'{{\n{inner}"{EXTNAT_TAG}": {raw}\n{ind}}}'
+    if isinstance(value, (list, tuple, set, frozenset)):
+        if not value:
+            return "[]"
+        if not isinstance(value, (list, tuple)):
+            value = sorted(value)
+        if _INT_ONLY.issuperset(map(type, value)):
+            parts = map(int.__repr__, value)
+        else:
+            parts = [_write(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{ind}]"
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {str(k): encode(v) for k, v in value.items()}
-    if isinstance(value, float):
+        items = {f.name: _write(getattr(value, f.name), inner) for f in dataclasses.fields(value)}
+    elif isinstance(value, dict):
+        items = {str(k): _write(v, inner) for k, v in value.items()}
+    elif isinstance(value, float):
         raise InputError("refusing to serialize a float; use Fraction")
-    raise InputError(f"cannot serialize value of type {type(value).__name__}")
+    else:
+        raise InputError(f"cannot serialize value of type {type(value).__name__}")
+    if not items:
+        return "{}"
+    return (f"{{\n{inner}" + f",\n{inner}".join(f"{_string(k)}: {items[k]}" for k in sorted(items))
+            + f"\n{ind}}}")
 
 
 def decode(value):
@@ -61,7 +92,8 @@ def decode(value):
 
 
 def doc_dumps(doc) -> str:
-    return json.dumps(encode(doc), sort_keys=True, indent=1) + "\n"
+    """The document's bytes: sorted keys, one-space indent, tagged rationals, a final newline."""
+    return _write(doc, "") + "\n"
 
 
 def doc_loads(text: str):
@@ -200,8 +232,14 @@ def load_metric(text: str) -> FiniteMetricSpace:
 def _read(text: str, kinds: tuple[str, ...], n_header: int) -> tuple[list[str], int, list[str]]:
     """The header lines, the point count and the lines between the header and ``end``.
 
-    The first header line names the file kind and the second is the points line.
+    The first header line names the file kind and the second is the points line. The
+    text must be ASCII without the separators that ``split`` and ``splitlines`` know
+    besides space, tab, CR and LF.
     """
+    if not text.isascii() or any(c in text for c in _SEPARATORS):
+        bad = next(ln for ln in text.split("\n")
+                   if not ln.isascii() or any(c in ln for c in _SEPARATORS))
+        raise InputError(f"non-ASCII or separator character in {bad!r}")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] not in kinds:
         raise InputError(f"not a {kinds[0]} file")

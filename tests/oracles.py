@@ -9,7 +9,8 @@ subset, variation by measuring every within-element pair, the coarsening
 witnesses by intersecting the carrier of every point, chain diameters by a
 full BFS from every point, refinements by scanning every coarse element, and
 l1 distances, metric diameters, the triangle check, ball covers, the metric
-pair scans and the map file's weights in Fraction arithmetic. The sampler
+pair scans and the map file's weights in Fraction arithmetic, and certificate
+documents through a tagged copy and ``json.dumps``. The sampler
 ``random_fraction`` draws the rationals the property tests use.
 
 The references the ``oracle`` command runs, and the per-element chain graph
@@ -18,11 +19,15 @@ they share, live in ``coarsedim.oracles``.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 from fractions import Fraction
 from itertools import combinations
 
 from coarsedim.covers import ChainGraph, Cover
+from coarsedim.errors import InputError
 from coarsedim.extnat import INFINITY, ExtNat
+from coarsedim.formats import EXTNAT_TAG, FRACTION_TAG
 from coarsedim.oracles import chain_graph_by_elements
 
 
@@ -274,6 +279,32 @@ def nerve_simplices_bruteforce(cover: Cover, d_cap: int) -> frozenset[frozenset[
             if common:
                 out.add(frozenset(combo))
     return frozenset(out)
+
+
+def encode(value):
+    """Recursively convert a value into JSON-ready form with tagged rationals."""
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, Fraction):
+        return {FRACTION_TAG: [value.numerator, value.denominator]}
+    if isinstance(value, ExtNat):
+        return {EXTNAT_TAG: value.value if value.is_finite else "inf"}
+    if isinstance(value, (list, tuple)):
+        return [encode(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return [encode(v) for v in sorted(value)]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(k): encode(v) for k, v in value.items()}
+    if isinstance(value, float):
+        raise InputError("refusing to serialize a float; use Fraction")
+    raise InputError(f"cannot serialize value of type {type(value).__name__}")
+
+
+def doc_dumps_reference(doc) -> str:
+    """A certificate document through the tagged copy and the standard json encoder."""
+    return json.dumps(encode(doc), sort_keys=True, indent=1) + "\n"
 
 
 def random_fraction(rng, low: int, high: int, max_denominator: int = 16) -> Fraction:

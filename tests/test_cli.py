@@ -398,11 +398,17 @@ MISSING = None  # no file is written for this argument
     pytest.param({"space": "line2", "pu": PU.replace("points 2", "points 1_0")},
                  "non-integer token in 'points 1_0'", id="points-with-underscore"),
     pytest.param({"space": "coarse-space\npoints 2\ngauge 0 : 0 \u0661\nend\n", "pu": PU},
-                 "non-integer token in 'gauge 0 : 0 \u0661'", id="element-non-ascii-digit"),
+                 "non-ASCII or separator character in 'gauge 0 : 0 \u0661'",
+                 id="element-non-ascii-digit"),
     pytest.param({"space": "line2", "pu": PU.replace("value 1 1 1 1", "value 1 1 \u0663 3")},
-                 "non-integer token in 'value 1 1 \u0663 3'", id="value-non-ascii-digit"),
+                 "non-ASCII or separator character in 'value 1 1 \u0663 3'",
+                 id="value-non-ascii-digit"),
     pytest.param({"metric": METRIC.replace("0 1 1 1", "0 1 \u0661 1"), "pu": PU},
-                 "non-integer token in 'distance 0 1 \u0661 1'", id="distance-non-ascii-digit"),
+                 "non-ASCII or separator character in 'distance 0 1 \u0661 1'",
+                 id="distance-non-ascii-digit"),
+    pytest.param({"space": "line2", "pu": PU.replace("value 1 1 1 1", "value 1 1 1\u30001")},
+                 r"non-ASCII or separator character in 'value 1 1 1\u30001'",
+                 id="value-ideographic-space"),
     pytest.param({"space": "line2", "pu": MISSING}, "pu.txt", id="missing-pu"),
     pytest.param({"space": MISSING, "pu": PU}, "space.txt", id="missing-space"),
     pytest.param({"metric": MISSING, "pu": PU}, "metric.txt", id="missing-metric"),
