@@ -22,8 +22,6 @@ from .covers import (
     _check_same_points,
     _region_distances,
     chain_indices,
-    diameter_in_graph,
-    interior,
     is_refinement,
     iterated_star,
     shrink_with_multiplicity,
@@ -94,8 +92,7 @@ def find_witness_bruteforce(space: FiniteCoarseSpace, cover: Cover, n: int,
         raise InputError(
             f"brute-force witness search is limited to {BRUTE_FORCE_POINT_LIMIT} points")
     _check_same_points(space, cover)
-    graph = space.chain
-    dist = [graph.distances_from([c]) for c in range(npts)]
+    dist = [space.chain.distances_from([c]) for c in range(npts)]
 
     balls: list[frozenset[int]] = []
     seen: set[frozenset[int]] = set()
@@ -106,8 +103,7 @@ def find_witness_bruteforce(space: FiniteCoarseSpace, cover: Cover, n: int,
             if ball in seen:
                 continue
             seen.add(ball)
-            diam = diameter_in_graph(ball, graph)
-            if diam <= diameter:
+            if space.set_diameter(ball) <= diameter:
                 balls.append(ball)
 
     meets = [[bool(ball & s) for ball in balls] for s in cover.sets]
@@ -219,9 +215,13 @@ def trim_to_cover(f: PartitionOfUnity, cover: Cover, n: int) -> TrimResult:
     inner, rims = [], []
     for s in preimages.sets:  # one BFS per preimage serves the gate and the trim
         index = _region_distances(cover, s)
-        inner.append(interior(cover, s, 2, index))
+        inner.append(frozenset(x for x in s if index[x] is None or index[x] > 2))
         rims.append(frozenset(x for x in s if index[x] == 2))
-    bad = star_misfit(cover, 2, preimages, inner)
+    # star_misfit(cover, 2, preimages): a 2-fold star fits in a preimage exactly
+    # when its element lies in the preimage's 2-interior
+    membership = preimages.membership
+    bad = next((t for t, s in enumerate(cover.sets)
+                if s and not any(s <= inner[j] for j in membership[next(iter(s))])), None)
     if bad is not None:
         raise PreconditionError(
             f"2-fold star element {bad} fits in no star preimage",

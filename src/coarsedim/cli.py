@@ -72,6 +72,11 @@ def _spec_numbers(spec: str, arg: str) -> list[int] | None:
     return m and [int(g) for g in m.groups()]
 
 
+def _read_input(path) -> str:
+    """An input file's text; a byte that is not UTF-8 reads as U+FFFD, which loaders refuse."""
+    return Path(path).read_text(encoding="utf-8", errors="replace")
+
+
 def _load_space_arg(arg: str) -> tuple[FiniteCoarseSpace, Family | None, object]:
     """The space an argument names, with its family row and instance (None for a file)."""
     for spec, family in FAMILIES.items():
@@ -83,7 +88,7 @@ def _load_space_arg(arg: str) -> tuple[FiniteCoarseSpace, Family | None, object]
     if not path.exists():
         specs = ", ".join(map(_spec_name, FAMILIES))
         raise InputError(f"space {arg!r} is neither a spec ({specs}) nor a file")
-    return formats.load_space(path.read_text()), None, None
+    return formats.load_space(_read_input(path)), None, None
 
 
 def _load_cover_arg(arg: str, space: FiniteCoarseSpace, family: Family | None, inst) -> Cover:
@@ -104,7 +109,7 @@ def _load_cover_arg(arg: str, space: FiniteCoarseSpace, family: Family | None, i
     path = Path(arg)
     if not path.exists():
         raise InputError(f"cover {arg!r} is neither a shorthand nor a file")
-    return formats.load_cover(path.read_text())
+    return formats.load_cover(_read_input(path))
 
 
 def _load_metric_arg(arg: str) -> FiniteMetricSpace:
@@ -114,7 +119,7 @@ def _load_metric_arg(arg: str) -> FiniteMetricSpace:
     path = Path(arg)
     if not path.exists():
         raise InputError(f"metric {arg!r} is neither {_spec_name(LINE)} nor a file")
-    return formats.load_metric(path.read_text())
+    return formats.load_metric(_read_input(path))
 
 
 def _finite(flag: str, text: str) -> Fraction:
@@ -191,14 +196,14 @@ def _cmd_phi(args) -> int:
 def _cmd_certify(args) -> int:
     if args.mode == "pu":
         space, family, inst = _load_space_arg(args.space)
-        pu = formats.load_pu(Path(args.pu).read_text())
+        pu = formats.load_pu(_read_input(args.pu))
         cover = _load_cover_arg(args.cover, space, family, inst)
         eps = formats.parse_fraction(args.eps)
         cert = certify_pu(pu, cover, space, eps, args.diam)
         _emit(_cert_doc("certify-pu", cert), args.out)
         return 0 if cert.ok else 1
     metric = _load_metric_arg(args.metric)
-    pu = formats.load_pu(Path(args.pu).read_text())
+    pu = formats.load_pu(_read_input(args.pu))
     cert = certify_delta_pu(pu, metric, _finite("--delta", args.delta),
                             _finite("--diam", args.diam))
     _emit(_cert_doc("certify-delta-pu", cert), args.out)

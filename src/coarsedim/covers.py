@@ -394,8 +394,8 @@ def chain_indices(cover: Cover, region: Iterable[int]) -> list[int | None]:
 
     A fresh list of n entries: 0 off the region, and on it the distances of
     one BFS from the points next to it (see ``_region_distances``).  Callers
-    that read only the region, as ``interior`` and ``barycentric_map`` do,
-    read the BFS distances in place instead.
+    that read only the region, as ``interior``, ``barycentric_map`` and
+    ``asdim.trim_to_cover`` do, read the BFS distances in place instead.
     """
     n = cover.n_points
     inside = _check_points(region, n)
@@ -412,34 +412,23 @@ def chain_index(cover: Cover, x: int, region: Iterable[int]) -> ExtNat:
     return ExtNat(chain_indices(cover, region)[x])
 
 
-def interior(cover: Cover, region: Iterable[int], k: int,
-             index: list[int | None] | None = None) -> frozenset[int]:
-    """The points of ``region`` whose k-fold star stays inside it: chain index above k.
-
-    Only the region's entries of ``index`` are read, so a caller that has a
-    list whose entries on the region are its chain indices may pass it in;
-    without one, a BFS from the points next to the region gives it.
-    """
+def interior(cover: Cover, region: Iterable[int], k: int) -> frozenset[int]:
+    """The points of ``region`` whose k-fold star stays inside it: chain index above k."""
     _check_int(k, 0, "k")
     inside = _check_points(region, cover.n_points)
-    if index is None:
-        index = _region_distances(cover, inside)
+    index = _region_distances(cover, inside)
     return frozenset(x for x in inside if index[x] is None or index[x] > k)
 
 
-def star_misfit(cover: Cover, k: int, coarse: Cover,
-                inner: list[frozenset[int]] | None = None) -> int | None:
+def star_misfit(cover: Cover, k: int, coarse: Cover) -> int | None:
     """The least index whose k-fold star fits in no element of ``coarse``, or None.
 
     This is the counterexample of ``is_refinement(iterated_star(cover, k), coarse)``
     without building a star: the k-fold star of an element fits in a coarse
     element exactly when the element lies in that element's k-interior.
-    ``inner`` may pass in those k-interiors, in coarse order, when the caller
-    has them.
     """
     _check_same_points(cover, coarse)
-    if inner is None:
-        inner = [interior(cover, s, k) for s in coarse.sets]
+    inner = [interior(cover, s, k) for s in coarse.sets]
     for t, s in enumerate(cover.sets):
         if s and not any(s <= inner[j] for j in coarse.membership[next(iter(s))]):
             return t
@@ -539,8 +528,8 @@ def is_uniformly_bounded(cover: Cover, space, bound) -> BoundednessCertificate:
             if worst < d:
                 worst = d
                 worst_set = s
-            if d == INFINITY:  # nothing exceeds it
-                break
+                if d == INFINITY:  # nothing exceeds it
+                    break
         witness = None if worst_set is None else cover.sets.index(worst_set)
         kept = cover._largest[space] = (worst, witness)
     worst, witness = kept

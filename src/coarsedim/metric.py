@@ -303,18 +303,19 @@ def comparison_backward(f: PartitionOfUnity, metric: FiniteMetricSpace, delta,
 
     The cover defaults to the balls of radius 1/delta; whichever cover is used
     must have elements of metric diameter at most 2/delta and pairwise
-    Lebesgue number at least 1/delta.
+    Lebesgue number at least 1/delta.  ``is_uniformly_bounded`` decides the
+    first, so a cover too wide is named by the least index of its widest element.
     """
     delta = _check_comparison_delta(delta)
     diameter_bound = _check_rational(diameter_bound, 0, "diameter_bound", strict=False)
     if cover is None:
         cover = ball_cover(metric, 1 / delta)
     _check_same_points(metric, cover)
-    max_diam = 2 / delta
-    for i, s in enumerate(cover.sets):
-        if metric.set_diameter(s) > max_diam:
-            raise PreconditionError(
-                f"cover element {i} has metric diameter above 2/delta", witness=i)
+    wide = is_uniformly_bounded(cover, metric, 2 / delta)
+    if not wide.ok:
+        raise PreconditionError(
+            f"cover element {wide.witness} has metric diameter above 2/delta",
+            witness=wide.witness)
     pair = _lebesgue_pair(metric, delta, [frozenset(m) for m in cover.membership])
     if pair is not None:
         raise PreconditionError(

@@ -288,6 +288,27 @@ def test_trim_gate_witness_is_the_2_fold_star_that_fits_nowhere():
     assert info.value.witness == twice.sets[bad]
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 10_000), st.booleans())
+def test_trim_gate_agrees_with_star_misfit_and_the_2_fold_star(n, seed, wide):
+    # the trim decides its gate inline on its own BFS runs; star_misfit and the built
+    # 2-fold star are the references, and a map into small random elements often fails it
+    rng = random.Random(seed)
+    cover = random_cover(rng, n, max_size=2, connected=True)
+    target = iterated_star(cover, 2) if wide else random_cover(rng, n, max_size=3)
+    pu = barycentric_map(cover, target)
+    preimages = pu.star_preimage_cover()
+    bad = star_misfit(cover, 2, preimages)
+    assert bad == is_refinement(iterated_star(cover, 2), preimages).counterexample
+    if bad is None:
+        trimmed = trim_to_cover(pu, cover, pu.max_carrier_size() - 1)
+        assert trimmed.cover.sets == tuple(interior(cover, s, 1) for s in preimages.sets)
+        return
+    with pytest.raises(PreconditionError) as err:
+        trim_to_cover(pu, cover, pu.max_carrier_size() - 1)
+    assert str(err.value) == f"2-fold star element {bad} fits in no star preimage"
+
+
 def test_region_readers_never_build_the_public_index_list(monkeypatch):
     # the nerve map, interiors, the star gate and the trim read BFS distances in place
     def refuse(*args):

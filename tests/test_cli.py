@@ -409,6 +409,12 @@ MISSING = None  # no file is written for this argument
     pytest.param({"space": "line2", "pu": PU.replace("value 1 1 1 1", "value 1 1 1\u30001")},
                  r"non-ASCII or separator character in 'value 1 1 1\u30001'",
                  id="value-ideographic-space"),
+    pytest.param({"space": b"coarse-space\npoints 2\ngauge 0 : 0 \xff1\nend\n", "pu": PU},
+                 "non-ASCII or separator character in 'gauge 0 : 0 \ufffd1'",
+                 id="space-not-utf8"),
+    pytest.param({"space": "line2",
+                  "pu": PU.encode().replace(b"value 1 1 1 1", b"value 1 1 1 \xff")},
+                 "non-ASCII or separator character in 'value 1 1 1 \ufffd'", id="pu-not-utf8"),
     pytest.param({"space": "line2", "pu": MISSING}, "pu.txt", id="missing-pu"),
     pytest.param({"space": MISSING, "pu": PU}, "space.txt", id="missing-space"),
     pytest.param({"metric": MISSING, "pu": PU}, "metric.txt", id="missing-metric"),
@@ -419,10 +425,12 @@ def test_malformed_input_exits_two_with_error_document(tmp_path, capsys, files, 
     argv = ["certify", "pu" if "space" in files else "delta"]
     for name, text in files.items():
         path = tmp_path / f"{name}.txt"
-        if text is not None and text.startswith("line"):
+        if isinstance(text, str) and text.startswith("line"):
             argv += [f"--{name}", text]
             continue
-        if text is not None:
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text)
         argv += [f"--{name}", str(path)]
     argv += ["--cover", "gauge", "--eps", "1"] if "space" in files else ["--delta", "1"]

@@ -1,8 +1,10 @@
 """Cover algebra: stars, refinement, chain indices, shrinking."""
 
+import ast
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -529,7 +531,6 @@ def test_chain_indices_reject_unknown_points():
     # a point is an int id in 0..n-1: True is not point 1, and 0.5 is no point at all
     space = gen_line(5).space
     gauge = space.gauge
-    index = chain_indices(gauge, {0, 1})
     const = PartitionOfUnity(dict.fromkeys(range(5), BarycentricPoint.vertex(0)), 5, (0,))
     metric = FiniteMetricSpace.line(5)
     for region in ({0, 99}, {0, -3}, {0, 5}, {0, "1"}, {0, True}, {0.5}):
@@ -537,7 +538,6 @@ def test_chain_indices_reject_unknown_points():
         for call in (lambda: chain_index(gauge, 0, region),
                      lambda: chain_indices(gauge, region),
                      lambda: interior(gauge, region, 1),
-                     lambda: interior(gauge, region, 1, index),
                      lambda: star_set(region, gauge),
                      lambda: gauge.multiplicity(bad),
                      lambda: chain_index(gauge, bad, {0}),
@@ -781,6 +781,38 @@ def test_coarse_space_measures_each_set_once(bfs_calls):
         assert bfs_calls == []
         assert is_uniformly_bounded(Cover(cover.sets, n, allow_empty=True), again, bound) == first
         assert bool(bfs_calls) == any(len(s) > 1 for s in cover.sets)
+
+
+def _referrers(tree, names) -> dict[str, set[str]]:
+    """Per name, the dotted functions (and classes) whose bodies name it or read it as
+    an attribute."""
+    found = {name: set() for name in names}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if isinstance(child, (ast.Name, ast.Attribute)) and name in found:
+                found[name].add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_is_uniformly_bounded_compares_set_diameters():
+    # is_uniformly_bounded decides every diameter bound; the brute-force witness search
+    # reads the same memo to filter its candidate balls, and the chain kernel sits behind it
+    seen = {"diameter_in_graph": set(), "set_diameter": set()}
+    for path in sorted(Path(covers.__file__).parent.glob("*.py")):
+        for name, scopes in _referrers(ast.parse(path.read_text()), seen).items():
+            seen[name] |= {f"{path.stem}.{scope}" for scope in scopes}
+    assert seen == {
+        "diameter_in_graph": {"covers.FiniteCoarseSpace.set_diameter"},
+        "set_diameter": {"covers.is_uniformly_bounded", "asdim.find_witness_bruteforce"},
+    }
 
 
 def test_uniformly_bounded_measures_each_distinct_set_once(monkeypatch):

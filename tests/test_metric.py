@@ -239,14 +239,16 @@ def test_int_metric_checks_match_fraction_references(n, dim, seed):
     for r in radii:
         assert ball_cover(metric, r).sets == ball_cover_fractions(metric, r).sets
 
-    # the backward precheck: element diameters, then the first close pair with no shared element
+    # the backward precheck: the least widest element, then the first close pair with no
+    # shared element
     deltas = [random_fraction(rng, 1, 13, 7) / 7]  # inside (0, 2)
     deltas += [1 / d for d in rng.sample(dists, min(2, len(dists))) if d > F(1, 2)]
     for delta in deltas:
         cover = (random_cover(rng, n) if rng.random() < 0.5
                  else ball_cover(metric, random_fraction(rng, 1, 4 * dim, 5) / 2))
-        too_wide = next((i for i, s in enumerate(cover.sets)
-                         if set_diameter_fractions(metric, s) > 2 / delta), None)
+        widths = [set_diameter_fractions(metric, s) for s in cover.sets]
+        widest = max(widths, default=0)
+        too_wide = widths.index(widest) if widest > 2 / delta else None
         pair = lebesgue_pair_fractions(metric, cover, delta)
         if too_wide is None and pair is None:
             assert comparison_backward(constant_map(n), metric, delta, 100, cover=cover).ok
@@ -342,6 +344,16 @@ def test_backward_comparison_checks_cover_geometry():
     toolarge = Cover.of([range(100)], 100)
     with pytest.raises(PreconditionError):
         comparison_backward(f, metric, F(1, 2), 99, cover=toolarge)
+
+
+def test_backward_comparison_names_the_least_widest_element():
+    # 2/delta = 2: element 1 is the first above it, and 3 is the first of the two widest
+    metric = FiniteMetricSpace.line(10)
+    cover = Cover.of([[0, 1], range(4), range(2, 10), range(10), range(10)], 10)
+    with pytest.raises(PreconditionError) as err:
+        comparison_backward(constant_map(10), metric, 1, 99, cover=cover)
+    assert err.value.witness == 3 == is_uniformly_bounded(cover, metric, 2).witness
+    assert str(err.value) == "cover element 3 has metric diameter above 2/delta"
 
 
 def test_backward_comparison_names_first_close_pair_without_common_element():
